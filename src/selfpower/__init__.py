@@ -6,7 +6,6 @@ analyzes when x^P(x) is rational, and issues transcendence certificates with
 exact isolating intervals.  No floating point participates in any decision.
 """
 
-from ._backend import BACKEND
 from .arith import (
     Factorization,
     Ordering,
@@ -64,6 +63,10 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+#: The scan is plain Python; the name stays so records and callers that read
+#: it keep working.
+BACKEND = "pure"
 
 __all__ = [
     "AlgebraicTarget",

@@ -311,7 +311,8 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
     if not powers_equal(x, a, y, b):
         raise PreconditionError(f"{x}^{a} != {y}^{b}")
     lam = integer_kth_root(x, b)
-    assert lam is not None  # guaranteed once x^a = y^b holds with coprime a, b
+    if lam is None:  # impossible once x^a = y^b holds with coprime a, b
+        raise AssertionError(f"{x}^(1/{b}) is not an integer although {x}^{a} = {y}^{b}")
     return lam
 
 

@@ -50,8 +50,11 @@ def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fra
     lo = Fraction(1)
     hi = Fraction(max(2, -(-q.numerator // q.denominator)))
     # x^x is strictly increasing on [1, inf); these endpoints straddle q
-    assert compare_self_power_to_rational(lo, q, config) is Ordering.LESS
-    assert compare_self_power_to_rational(hi, q, config) is Ordering.GREATER
+    if (
+        compare_self_power_to_rational(lo, q, config) is not Ordering.LESS
+        or compare_self_power_to_rational(hi, q, config) is not Ordering.GREATER
+    ):
+        raise AssertionError(f"[{lo}, {hi}] does not bracket the preimage of {q}")
     steps = 0
     while hi - lo > width:
         if steps >= config.max_bisect_steps:
@@ -60,7 +63,8 @@ def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fra
         c = compare_self_power_to_rational(mid, q, config)
         # Equal cannot happen: a rational x with rational x^x is an integer,
         # and the scan has excluded the integers
-        assert c is not Ordering.EQUAL
+        if c is Ordering.EQUAL:
+            raise AssertionError(f"{mid}^{mid} = {q} contradicts the integer scan")
         if c is Ordering.LESS:
             lo = mid
         else:

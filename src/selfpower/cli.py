@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -65,6 +66,22 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(cleaned))
 
 
+@contextmanager
+def _all_digits():
+    # output writes every digit: lifts the interpreter's int-to-str digit
+    # limit (Python >= 3.10.7) for values whose size the bit cap bounds
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_all_digits()
 def format_fraction(q: Fraction) -> str:
     """Canonical rendering 'a/b', with '/b' omitted for integers."""
     if q.denominator == 1:
@@ -249,6 +266,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial.from_coefficients(coeffs)
 
 
+@_all_digits()
 def format_polynomial(poly: IntPolynomial) -> str:
     """Canonical rendering like '9*x^3 - 4'; reparsing gives the same polynomial."""
     parts: list[str] = []
@@ -589,7 +607,8 @@ def main(argv=None) -> int:
         raise _fail(exc, "resource", 4) from exc
     except DomainError as exc:
         raise _fail(exc, "domain", 3) from exc
-    print(json.dumps(payload, sort_keys=True) if args.json else human)
+    with _all_digits():
+        print(json.dumps(payload, sort_keys=True) if args.json else human)
     return 0
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
 
-from ._backend import scan_denominators
 from .arith import (
     Factorization,
     Ordering,
@@ -139,7 +139,8 @@ def integer_scan(
             found, count = None, n
             break
         n += 1
-    assert count <= max(3, 1 + _ceil_ln_alpha_upper(d, r, s))
+    if count > max(3, 1 + _ceil_ln_alpha_upper(d, r, s)):
+        raise AssertionError(f"integer scan ran {count} steps, past its proven bound")
     return found, count
 
 
@@ -177,13 +178,73 @@ def solve_enumerative(
     d, r, s = target.root_triple()
     if d > 1:
         bound = denominator_bound(d)
-        hits, tested = scan_denominators(d, count, 2, bound, r, s)
+        hits, tested = _scan_denominators(d, count, bound, r, s)
         count += tested
         for a, b in hits:
             x = Fraction(a, b)
-            assert compare_self_power_to_root(x, d, r, s, config) is Ordering.EQUAL
+            if compare_self_power_to_root(x, d, r, s, config) is not Ordering.EQUAL:
+                raise AssertionError(f"scan hit {x} fails the exact recheck")
             solutions.append(x)
     return SolutionSet(tuple(sorted(solutions)), count)
+
+
+def _scan_denominators(
+    d: int, n_mult: int, b_hi: int, r: int, s: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Every reduced a/b with 2 <= b <= b_hi, 1 <= a <= n_mult*b and
+    (a/b)^(a/b) = (r/s)^(1/d), i.e. a^(a*d) = r^b and b^(a*d) = s^b.
+
+    Returns (hits, tested): the solutions (a, b) in scan order and the number
+    of candidates covered, n_mult * (phi(2) + ... + phi(b_hi)).  Both equations
+    need the bit-length windows of their sides to overlap; for fixed b each
+    window is monotone in a, so only the a inside both windows are visited.
+    Those get the gcd check and the exact power tests.
+    """
+    hits: list[tuple[int, int]] = []
+    bl_r = r.bit_length()
+    bl_s = s.bit_length()
+    _gcd = gcd
+    _powers_equal = powers_equal
+    for b in range(2, b_hi + 1):
+        bl_b = b.bit_length()
+        # b^(a*d) vs s^b: a*d*(bl_b - 1) < b*bl_s and b*(bl_s - 1) < a*d*bl_b
+        lo = b * (bl_s - 1) // (d * bl_b) + 1
+        hi = min(n_mult * b, (b * bl_s - 1) // (d * (bl_b - 1)))
+        # a^(a*d) vs r^b, for the a of bit length k:
+        # a*d*(k - 1) < b*bl_r and b*(bl_r - 1) < a*d*k
+        for k in range(lo.bit_length(), hi.bit_length() + 1):
+            a_lo = max(lo, 1 << (k - 1), b * (bl_r - 1) // (k * d) + 1)
+            a_hi = min(hi, (1 << k) - 1)
+            if k > 1:
+                a_hi = min(a_hi, (b * bl_r - 1) // ((k - 1) * d))
+            for a in range(a_lo, a_hi + 1):
+                if _gcd(a, b) != 1:
+                    continue
+                e = a * d
+                if _powers_equal(a, e, r, b) and _powers_equal(b, e, s, b):
+                    hits.append((a, b))
+    tested = n_mult * (_totient_sum(b_hi) - 1) if b_hi > 1 else 0
+    return hits, tested
+
+
+def _totient_sum(n: int) -> int:
+    """phi(1) + ... + phi(n), from sum over k <= n of Phi(n // k) = n(n+1)/2.
+
+    n // k takes O(sqrt n) distinct values; grouping equal quotients and
+    memoising them costs O(n^(3/4)) steps and no table of phi.
+    """
+
+    @cache
+    def phi_sum(m: int) -> int:
+        total = m * (m + 1) // 2
+        k = 2
+        while k <= m:
+            k_next = m // (m // k) + 1
+            total -= (k_next - k) * phi_sum(m // k)
+            k = k_next
+        return total
+
+    return phi_sum(n)
 
 
 def _divisor_exponent(vec: tuple[int, ...], factors: Factorization) -> int | None:

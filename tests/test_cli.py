@@ -1,6 +1,7 @@
 """CLI tests: parsing, golden outputs, exit codes, configuration plumbing."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from selfpower import IntPolynomial, ParseError
 from selfpower.cli import (
+    _all_digits,
     format_fraction,
     format_polynomial,
     main,
@@ -135,6 +137,21 @@ class TestGoldenOutputs:
         assert json.loads(out) == {"exponent": "1/2", "rational": "1/2"}
         out, _ = run_cli(capsys, ["powcheck", "--poly", "x", "--x", "1/2", "--json"])
         assert json.loads(out) == {"exponent": "1/2", "rational": None}
+
+    def test_values_past_the_int_digit_limit(self, capsys):
+        # 15^20242 has 23807 digits and 5000^5000 over 18000, past the
+        # interpreter's default int-to-str limit of 4300 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ["powcheck", "--poly", "6*x^3 - 8", "--x", "15"]
+        json_out, _ = run_cli(capsys, argv + ["--json"])
+        human_out, _ = run_cli(capsys, argv)
+        minpoly_out, _ = run_cli(capsys, ["minpoly", "5000/4999", "--json"])
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with _all_digits():
+            value = str(15**20242)
+            assert json.loads(json_out) == {"exponent": "20242", "rational": value}
+            assert human_out == f"(15)^(20242) = {value}\n"
+            assert json.loads(minpoly_out)["r"] == 5000**5000
 
     def test_powsearch(self, capsys):
         out, _ = run_cli(

@@ -1,0 +1,81 @@
+"""The checks that guard answers raise, also under python -O, when a comparator lies."""
+
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import selfpower.arith as arith
+import selfpower.certify as certify
+import selfpower.solver as solver
+from selfpower import (
+    DEFAULT_CONFIG,
+    AlgebraicTarget,
+    Ordering,
+    bisect_preimage,
+    lambda_decompose,
+    minimal_polynomial_of_self_power,
+    solve_enumerative,
+)
+
+
+def test_scan_hit_recheck_raises(monkeypatch):
+    # every comparison answers GREATER: the integer scan stops at n = 1 and
+    # the recheck of each scan hit fails
+    monkeypatch.setattr(
+        solver, "compare_self_power_to_root", lambda *args: Ordering.GREATER
+    )
+    target = AlgebraicTarget.from_binomial(minimal_polynomial_of_self_power(8, 27))
+    with pytest.raises(AssertionError, match="exact recheck"):
+        solve_enumerative(target)
+
+
+def test_integer_scan_bound_raises(monkeypatch):
+    def lying(x, d, r, s, config):
+        return Ordering.LESS if x < 10 else Ordering.GREATER
+
+    monkeypatch.setattr(solver, "compare_self_power_to_root", lying)
+    with pytest.raises(AssertionError, match="proven bound"):
+        solver.integer_scan(AlgebraicTarget.from_rational(2))
+
+
+def test_bisection_bracket_raises(monkeypatch):
+    monkeypatch.setattr(
+        certify, "compare_self_power_to_rational", lambda *args: Ordering.EQUAL
+    )
+    with pytest.raises(AssertionError, match="does not bracket"):
+        certify._bisect(Fraction(2), Fraction(1, 100), DEFAULT_CONFIG)
+
+
+def test_bisection_equality_raises(monkeypatch):
+    real = certify.compare_self_power_to_rational
+
+    def lying(x, q, config):
+        return real(x, q, config) if x.denominator == 1 else Ordering.EQUAL
+
+    monkeypatch.setattr(certify, "compare_self_power_to_rational", lying)
+    with pytest.raises(AssertionError, match="contradicts the integer scan"):
+        bisect_preimage(Fraction(2), Fraction(1, 100))
+
+
+def test_lambda_decompose_postcondition_raises(monkeypatch):
+    # 2^2 != 3^3, but a lying equality test lets it through to the root step
+    monkeypatch.setattr(arith, "powers_equal", lambda *args: True)
+    with pytest.raises(AssertionError, match="is not an integer"):
+        lambda_decompose(2, 3, 2, 3)
+
+
+def test_guards_survive_optimized_mode():
+    code = (
+        "import selfpower.arith as a\n"
+        "a.powers_equal = lambda *args: True\n"
+        "try:\n"
+        "    a.lambda_decompose(2, 3, 2, 3)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "raised"
