@@ -122,28 +122,9 @@ def _tokenize(text: str) -> list[tuple[str, int | str | None, int]]:
     return tokens
 
 
-# degree ceiling for parsed polynomials; enumeration beyond this is
-# infeasible anyway and unbounded exponents would stall the parser
+# degree ceiling for parsed polynomials, enforced on every exponent and every
+# product; enumeration beyond this is infeasible anyway
 _MAX_DEGREE = 1 << 16
-
-
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 class _ExpressionParser:
@@ -151,6 +132,11 @@ class _ExpressionParser:
     # term := factor ('*' factor)*
     # factor := atom ['^' INT]
     # atom := INT | 'x'
+    #
+    # Every atom, hence every factor and term, is a monomial c*x^n, carried as
+    # (c, n): a power is one integer power and a degree product, a product
+    # multiplies coefficients and adds degrees.  The sum collects like terms
+    # by degree and becomes a dense coefficient list only at the end.
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -165,42 +151,51 @@ class _ExpressionParser:
         return tok
 
     def parse(self) -> list[int]:
-        coeffs = self.expression()
+        terms = self.expression()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("unexpected trailing input", position=pos)
+        coeffs = [0] * (max(terms) + 1)
+        for n, c in terms.items():
+            coeffs[n] = c
         return coeffs
 
-    def expression(self) -> list[int]:
+    def expression(self) -> dict[int, int]:
         kind, value, _ = self.peek()
         sign = 1
         if kind == "op" and value in "+-":
             self.take()
             sign = -1 if value == "-" else 1
-        acc = [sign * c for c in self.term()]
+        terms: dict[int, int] = {}
         while True:
+            c, n = self.term()
+            terms[n] = terms.get(n, 0) + sign * c
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                term = self.term()
-                if value == "-":
-                    term = [-c for c in term]
-                acc = _poly_add(acc, term)
+                sign = -1 if value == "-" else 1
             else:
-                return acc
+                return terms
 
-    def term(self) -> list[int]:
-        acc = self.factor()
+    def term(self) -> tuple[int, int]:
+        c, n = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                acc = _poly_mul(acc, self.factor())
+                fc, fn = self.factor()
+                c, n = c * fc, n + fn
+                if n > _MAX_DEGREE:
+                    raise ParseError(
+                        f"product of degree {n} exceeds the supported degree "
+                        f"{_MAX_DEGREE}",
+                        position=pos,
+                    )
             else:
-                return acc
+                return c, n
 
-    def factor(self) -> list[int]:
-        base = self.atom()
+    def factor(self) -> tuple[int, int]:
+        c, n = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -214,18 +209,15 @@ class _ExpressionParser:
                     f"exponent {value} exceeds the supported degree {_MAX_DEGREE}",
                     position=pos,
                 )
-            out = [1]
-            for _ in range(value):
-                out = _poly_mul(out, base)
-            return out
-        return base
+            return c**value, n * value
+        return c, n
 
-    def atom(self) -> list[int]:
+    def atom(self) -> tuple[int, int]:
         kind, value, pos = self.take()
         if kind == "int":
-            return [value]
+            return value, 0
         if kind == "x":
-            return [0, 1]
+            return 1, 1
         raise ParseError("expected an integer coefficient or x", position=pos)
 
 

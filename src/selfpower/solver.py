@@ -4,8 +4,9 @@ The enumerative procedure scans integers until n^n >= alpha, then tests every
 reduced fraction a/b with denominator up to the degree-driven bound.  The
 divisor procedure works backwards from the binomial minimal polynomial
 s*x^d - r: any solution a/b forces s = lam^a and b^d = lam^b for a common base
-lam dividing s, so trying each divisor of s pins down the candidates.  Both
-return the same set; `solve` can cross-check them.
+lam dividing s.  With s = base^k, k the gcd of the prime exponents of s, that
+leaves a | k and b = base^j, a handful of candidates.  Both return the same
+set; `solve` can cross-check them.
 
 The module also generates and verifies the classical two-parameter families:
 the pairs x = (m/(m+1))^m, y = (m/(m+1))^(m+1) solving x^x = y^y, and their
@@ -17,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import (
-    Factorization,
     Ordering,
     compare_self_power_to_root,
     factorize,
@@ -247,28 +246,21 @@ def _totient_sum(n: int) -> int:
     return phi_sum(n)
 
 
-def _divisor_exponent(vec: tuple[int, ...], factors: Factorization) -> int | None:
-    # the a with lam^a = s, where lam has exponent vector vec against s's primes
-    a = None
-    for v, (_, e) in zip(vec, factors):
-        if v == 0 or e % v != 0:
-            return None
-        if a is None:
-            a = e // v
-        elif e // v != a:
-            return None
-    return a
-
-
 def solve_by_divisors(
     binomial: BinomialMinPoly, config: Config = DEFAULT_CONFIG
 ) -> SolutionSet:
     """All solutions of x^x = (r/s)^(1/d), working backwards from s*x^d - r.
 
-    A solution a/b forces a common base lam | s with lam^a = s and b^d = lam^b,
-    so each divisor of s pins down at most one exponent a; candidate
-    denominators are then read off from b^d = lam^b and confirmed against the
+    A solution a/b forces a common base lam | s with lam^a = s and b^d = lam^b.
+    Write s = base^k with k the gcd of the prime exponents of s; base is then
+    not a perfect power, so lam^a = s holds exactly for a | k, lam =
+    base^(k/a).  With m = k/a, b^d = base^(m*b) forces b = base^j with
+    j*d = m*b, so the candidate denominators are the powers of base up to
+    denominator_bound(d).  Each candidate is confirmed against the
     reconstructed minimal polynomial.
+
+    scan_count is the number of candidates covered: the divisors lam > 1 of s,
+    plus every 2 <= b <= bound for each of the tau(k) exponents a.
     """
     if not is_irreducible_binomial(binomial, config):
         raise DomainError("solve_by_divisors requires an irreducible binomial")
@@ -283,28 +275,37 @@ def solve_by_divisors(
         # integers, whose self-powers have degree 1
         return SolutionSet((), 0)
     s_factors = factorize(s, config)
+    k = 0
+    n_divisors = 1
+    for _, e in s_factors:
+        k = gcd(k, e)
+        n_divisors *= e + 1
+    base = 1
+    for p, e in s_factors:
+        base *= p ** (e // k)
     bound = denominator_bound(d)
-    tested = 0
+    exponents = _divisors(k)
     found: list[Fraction] = []
-    for vec in product(*(range(e + 1) for _, e in s_factors)):
-        if not any(vec):
-            continue  # lam = 1 cannot satisfy lam^a = s >= 2
-        tested += 1
-        a = _divisor_exponent(vec, s_factors)
-        if a is None:
-            continue
-        lam = 1
-        for v, (p, _) in zip(vec, s_factors):
-            lam *= p**v
-        for b in range(2, bound + 1):
-            tested += 1
-            if not powers_equal(b, d, lam, b):
-                continue
-            if gcd(a, b) != 1:
-                continue
-            if minimal_polynomial_of_self_power(a, b, config) == binomial:
+    for a in exponents:
+        m = k // a
+        b, j = base, 1
+        while b <= bound:
+            if (
+                j * d == m * b
+                and gcd(a, b) == 1
+                and minimal_polynomial_of_self_power(a, b, config) == binomial
+            ):
                 found.append(Fraction(a, b))
+            b *= base
+            j += 1
+    tested = (n_divisors - 1) + len(exponents) * (bound - 1)
     return SolutionSet(tuple(sorted(found)), tested)
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, in O(sqrt n) trial divisions."""
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def solve(

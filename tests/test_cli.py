@@ -1,8 +1,12 @@
 """CLI tests: parsing, golden outputs, exit codes, configuration plumbing."""
 
 import json
+import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +89,25 @@ class TestParsePolynomial:
             parse_polynomial("x^2 + 1.5")
         with pytest.raises(ParseError):
             parse_polynomial("[1, b]")
+
+    def test_degree_cap_holds_for_products(self):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("x^60000*x^60000*x^60000 - 3")
+        assert "65536" in str(exc.value)
+        assert exc.value.position == 7  # the '*' that crosses the cap
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("x^65537")
+        assert "65536" in str(exc.value)
+        assert parse_polynomial("x^32768*x^32768 - 1").degree == 65536
+
+    def test_large_powers_are_fast(self):
+        start = time.perf_counter()
+        assert parse_polynomial("x^9000*x^9000*x^9000 - 3").coeffs == (
+            (-3,) + (0,) * 26999 + (1,)
+        )
+        assert parse_polynomial("x^65536 - 3").degree == 65536
+        assert parse_polynomial("3^4*x^2*2 - 2^3*5").coeffs == (-40, 0, 162)
+        assert time.perf_counter() - start < 1.0
 
     @given(
         st.lists(st.integers(-99, 99), min_size=1, max_size=7).filter(
@@ -257,6 +280,42 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "parse"
         _, err = run_cli(capsys, ["nonsense"], expect_exit=2)
         assert json.loads(err)["kind"] == "parse"
+
+
+# inputs from the ROADMAP's baseline table that used to hang or crawl; each
+# must finish under its time limit with exit 0 or a typed error (2, 3, 4)
+_F7 = 2**128 + 1
+_ADVERSARIAL = [
+    pytest.param(["solve", "--alpha", "x^200-2", "--verify-both"], 30, id="x^200-2"),
+    pytest.param(["solve", "--alpha", "x^20000 - 3"], 30, id="x^20000"),
+    pytest.param(["solve", "--alpha", "x^65536 - 3"], 30, id="x^65536"),
+    pytest.param(["solve", "--alpha", "x^9000*x^9000*x^9000 - 3"], 30, id="3*9000"),
+    pytest.param(["solve", "--alpha", "x^60000*x^60000*x^60000 - 3"], 30, id="3*60000"),
+    pytest.param(["solve", "--alpha", f"{_F7}*x^2 - 1"], 30, id="F7"),
+    pytest.param(
+        ["classify", "--q", "2", "--width", "1/1" + "0" * 300], 60, id="classify-1e-300"
+    ),
+]
+
+
+class TestAdversarialInputs:
+    @pytest.mark.parametrize("argv, limit", _ADVERSARIAL)
+    def test_finishes_or_fails_typed(self, argv, limit):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("XX_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfpower.cli", *argv, "--json"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=limit,
+        )
+        assert proc.returncode in (0, 2, 3, 4), proc.stderr
+        if proc.returncode:
+            assert "kind" in json.loads(proc.stderr)
+        else:
+            json.loads(proc.stdout)
 
 
 class TestConfiguration:

@@ -1,7 +1,9 @@
 """Solver tests: both solution procedures, their agreement, and the
 x^x = y^y / x^y = y^x families."""
 
+import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import mpmath as mp
@@ -20,14 +22,62 @@ from selfpower import (
     compare_self_power_to_root,
     denominator_bound,
     equal_self_power_pair,
+    factorize,
     integer_scan,
+    is_irreducible_binomial,
     minimal_polynomial_of_self_power,
+    powers_equal,
     solve,
     solve_by_divisors,
     solve_enumerative,
     verify_commuting,
     verify_equal_self_powers,
 )
+
+
+def _divisor_exponent(vec, factors):
+    # the a with lam^a = s, where lam has exponent vector vec against s's primes
+    a = None
+    for v, (_, e) in zip(vec, factors):
+        if v == 0 or e % v != 0:
+            return None
+        if a is None:
+            a = e // v
+        elif e // v != a:
+            return None
+    return a
+
+
+def reference_solve_by_divisors(binomial):
+    """The divisor procedure before the closed form: every divisor vector lam of
+    s, the exponent a with lam^a = s read off per prime, and b^d = lam^b tested
+    exactly for every b up to the bound."""
+    s, d, r = binomial.s, binomial.d, binomial.r
+    if s == 1:
+        return solve_by_divisors(binomial)
+    s_factors = factorize(s)
+    bound = denominator_bound(d)
+    tested = 0
+    found = []
+    for vec in product(*(range(e + 1) for _, e in s_factors)):
+        if not any(vec):
+            continue
+        tested += 1
+        a = _divisor_exponent(vec, s_factors)
+        if a is None:
+            continue
+        lam = 1
+        for v, (p, _) in zip(vec, s_factors):
+            lam *= p**v
+        for b in range(2, bound + 1):
+            tested += 1
+            if not powers_equal(b, d, lam, b):
+                continue
+            if gcd(a, b) != 1:
+                continue
+            if minimal_polynomial_of_self_power(a, b) == binomial:
+                found.append(Fraction(a, b))
+    return SolutionSet(tuple(sorted(found)), tested)
 
 
 def target_of(s, d, r):
@@ -130,6 +180,52 @@ class TestSolveByDivisors:
         with pytest.raises(DomainError):
             solve_by_divisors(BinomialMinPoly(1, 2, 4))
 
+    def test_scan_count_in_closed_form(self):
+        # s = 6561 = 3^8: 8 divisors lam > 1, tau(8) = 4 exponents, bound 79
+        result = solve_by_divisors(BinomialMinPoly(6561, 9, 256))
+        assert result.scan_count == 8 + 4 * 78
+        # README example: s = 2, one divisor, one exponent, bound 5
+        assert solve_by_divisors(BinomialMinPoly(2, 2, 1)).scan_count == 1 + 4
+
+    def test_matches_reference_on_self_power_targets(self):
+        for a in range(1, 60):
+            for b in range(2, 60):
+                if gcd(a, b) != 1:
+                    continue
+                binomial = minimal_polynomial_of_self_power(a, b)
+                got = solve_by_divisors(binomial)
+                assert got == reference_solve_by_divisors(binomial), (a, b)
+                assert Fraction(a, b) in got.solutions
+
+    def test_matches_reference_on_seeded_binomials(self):
+        # s smooth or a perfect power, so the gcd k of its exponents is often
+        # > 1 and several exponents a | k are live; every third target is the
+        # minimal polynomial of a planted a/b with a smooth denominator
+        rng = random.Random(271828)
+        checked = 0
+        while checked < 3000:
+            if checked % 3 == 2:
+                b = rng.choice((2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36))
+                a = rng.randint(1, 120)
+                if gcd(a, b) != 1:
+                    continue
+                binomial = minimal_polynomial_of_self_power(a, b)
+            else:
+                if checked % 3 == 0:
+                    s = rng.randint(2, 30) ** rng.randint(2, 12)
+                else:
+                    i, j, l = rng.randint(0, 8), rng.randint(0, 5), rng.randint(0, 3)
+                    s = 2**i * 3**j * 5**l
+                d, r = rng.randint(1, 24), rng.randint(1, 10**6)
+                if s == 1 or gcd(r, s) != 1:
+                    continue
+                binomial = BinomialMinPoly(s, d, r)
+            if not is_irreducible_binomial(binomial):
+                continue
+            got = solve_by_divisors(binomial)
+            assert got == reference_solve_by_divisors(binomial), binomial
+            checked += 1
+
 
 class TestSolveDispatcher:
     def test_examples(self):
@@ -168,8 +264,6 @@ class TestSolveDispatcher:
     def test_procedures_agree_on_random_binomials(self):
         # arbitrary irreducible binomials, not just self-power minimal
         # polynomials; almost all have no solutions, and both routes must say so
-        import random
-
         rng = random.Random(314159)
         checked = 0
         while checked < 150:
@@ -177,8 +271,6 @@ class TestSolveDispatcher:
             if gcd(r, s) != 1:
                 continue
             binomial = BinomialMinPoly(s, d, r)
-            from selfpower import is_irreducible_binomial
-
             if not is_irreducible_binomial(binomial):
                 continue
             by_divisors = solve_by_divisors(binomial)
