@@ -203,14 +203,6 @@ def factorize(n: int, config: Config = DEFAULT_CONFIG) -> Factorization:
     return tuple(sorted(found.items()))
 
 
-def factorization_value(factors: Factorization) -> int:
-    """Product of p**e over the factorization."""
-    value = 1
-    for p, e in factors:
-        value *= p**e
-    return value
-
-
 def padic_valuation(p: int, n: int) -> int:
     """The exact exponent of the prime p in n >= 1."""
     if n < 1:
@@ -459,24 +451,6 @@ def _require_positive(q: Fraction, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {q}")
 
 
-def compare_self_power_to_rational(
-    t: Fraction, q: Fraction, config: Config = DEFAULT_CONFIG
-) -> Ordering:
-    """Exact order of t**t versus the rational q, both positive.
-
-    Writing t = a/b and q = m/n in lowest terms, t^t vs q is the integer
-    comparison a^a * n^b vs b^a * m^b; equality splits into a^a = m^b and
-    b^a = n^b because the two sides share no prime across the reduced pairs.
-    """
-    _require_positive(t, "t")
-    _require_positive(q, "q")
-    a, b = t.numerator, t.denominator
-    m, n = q.numerator, q.denominator
-    if powers_equal(a, a, m, b) and powers_equal(b, a, n, b):
-        return Ordering.EQUAL
-    return compare_power_products([(a, a), (n, b)], [(b, a), (m, b)], config)
-
-
 def compare_self_power_to_root(
     t: Fraction, d: int, r: int, s: int, config: Config = DEFAULT_CONFIG
 ) -> Ordering:
@@ -497,3 +471,16 @@ def compare_self_power_to_root(
     if powers_equal(a, e, r, b) and powers_equal(b, e, s, b):
         return Ordering.EQUAL
     return compare_power_products([(a, e), (s, b)], [(b, e), (r, b)], config)
+
+
+def compare_self_power_to_rational(
+    t: Fraction, q: Fraction, config: Config = DEFAULT_CONFIG
+) -> Ordering:
+    """Exact order of t**t versus the rational q, both positive.
+
+    The d = 1 case of compare_self_power_to_root: writing t = a/b and q = m/n
+    in lowest terms, t^t vs q is the integer comparison a^a * n^b vs
+    b^a * m^b, and equality splits into a^a = m^b and b^a = n^b.
+    """
+    _require_positive(q, "q")
+    return compare_self_power_to_root(t, 1, q.numerator, q.denominator, config)

@@ -6,6 +6,10 @@ with x^x = q.  Since a positive rational x with rational x^x must be an
 integer, the scan makes x irrational; the Gelfond-Schneider theorem, cited as
 an external axiom, upgrades irrational to transcendental.  Every comparison
 behind the certificate is exact.
+
+The scan is the solver's own `solver.integer_scan` on the rational target q,
+the d = 1 case of its scan, so it stops after N <= max(3, 1 + ceil(ln q))
+steps and raises when a comparator would take it past that bound.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from fractions import Fraction
 from .arith import Ordering, compare_self_power_to_rational
 from .config import DEFAULT_CONFIG, Config
 from .errors import DomainError, ResourceError, UnsupportedInputError
+from .solver import AlgebraicTarget, integer_scan
 
 
 @dataclass(frozen=True)
@@ -33,17 +38,6 @@ class Certificate:
         lo, hi = self.interval
         if not lo < hi:
             raise DomainError("certificate interval must be nonempty")
-
-
-def _scan_integers(q: Fraction, config: Config) -> list[tuple[int, Ordering]]:
-    trace = []
-    n = 1
-    while True:
-        c = compare_self_power_to_rational(Fraction(n), q, config)
-        trace.append((n, c))
-        if c is not Ordering.LESS:
-            return trace
-        n += 1
 
 
 def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fraction]:
@@ -88,10 +82,10 @@ def bisect_preimage(
         raise UnsupportedInputError(f"bisection covers q > 1 only, got {q}")
     if width <= 0:
         raise DomainError("width must be positive")
-    trace = _scan_integers(q, config)
-    if trace[-1][1] is Ordering.EQUAL:
+    found, _ = integer_scan(AlgebraicTarget.from_rational(q), config)
+    if found is not None:
         raise DomainError(
-            f"x^x = {q} has the exact solution x = {trace[-1][0]}; bisection refused"
+            f"x^x = {q} has the exact solution x = {found}; bisection refused"
         )
     return _bisect(q, width, config)
 
@@ -115,15 +109,17 @@ def classify_preimage(
     q = Fraction(q)
     if q <= 1:
         raise UnsupportedInputError(f"classification covers q > 1 only, got {q}")
-    trace = _scan_integers(q, config)
-    last_n, last = trace[-1]
-    if last is Ordering.EQUAL:
-        return last_n
+    found, scanned = integer_scan(AlgebraicTarget.from_rational(q), config)
+    if found is not None:
+        return found
     width = config.bisect_width if width is None else Fraction(width)
     lo, hi = _bisect(q, width, config)
+    # the scan stopped at the first n with n^n > q
+    trace = [(n, Ordering.LESS) for n in range(1, scanned)]
+    trace.append((scanned, Ordering.GREATER))
     return Certificate(
         q=q,
         integer_scan_trace=tuple(trace),
         interval=(lo, hi),
-        statement=_statement(q, last_n, lo, hi),
+        statement=_statement(q, scanned, lo, hi),
     )

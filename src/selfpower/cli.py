@@ -58,12 +58,30 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational: {text!r}", position=len(cleaned))
     if "/" in cleaned:
         num, den = cleaned.split("/", 1)
-        if int(den) == 0:
-            raise ParseError(
-                f"zero denominator in {text!r}", position=cleaned.index("/") + 1
-            )
-        return Fraction(int(num), int(den))
-    return Fraction(int(cleaned))
+        slash = cleaned.index("/")
+        numerator = _int_literal(num, 0)
+        denominator = _int_literal(den, slash + 1)
+        if denominator == 0:
+            raise ParseError(f"zero denominator in {text!r}", position=slash + 1)
+        return Fraction(numerator, denominator)
+    return Fraction(_int_literal(cleaned, 0))
+
+
+def _int_literal(digits: str, position: int) -> int:
+    """The value of a decimal literal already checked to be [+-]digits.
+
+    A literal longer than the interpreter's int-from-str digit limit
+    (Python >= 3.10.7) is refused with a ParseError naming the limit;
+    interpreters without the limit parse every length.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits.lstrip('+-'))} digits exceeds the "
+            f"interpreter's limit of {sys.get_int_max_str_digits()} digits",
+            position=position,
+        ) from None
 
 
 @contextmanager
@@ -102,11 +120,11 @@ def _tokenize(text: str) -> list[tuple[str, int | str | None, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _int_literal(text[i:j], i), i))
             i = j
             continue
         if ch in "xX":
@@ -231,13 +249,11 @@ def _parse_coefficient_list(text: str) -> list[int]:
     offset = 1
     for part in inner.split(","):
         token = part.strip()
+        start = text.index(part, offset)
         if not re.fullmatch(r"[+-]?\d+", token):
-            raise ParseError(
-                f"bad integer coefficient {part.strip()!r}",
-                position=text.index(part, offset),
-            )
-        coeffs.append(int(token))
-        offset = text.index(part, offset) + len(part)
+            raise ParseError(f"bad integer coefficient {token!r}", position=start)
+        coeffs.append(_int_literal(token, start + len(part) - len(part.lstrip())))
+        offset = start + len(part)
     return coeffs
 
 

@@ -68,7 +68,7 @@ class AlgebraicTarget:
     ) -> "AlgebraicTarget":
         if not is_irreducible_binomial(binomial, config):
             raise TargetShapeError(
-                f"{binomial.s}*x^{binomial.d} - {binomial.r} is reducible over the rationals"
+                f"{_describe_binomial(binomial)} is reducible over the rationals"
             )
         if binomial.d == 1:
             return cls(value=Fraction(binomial.r, binomial.s))
@@ -100,6 +100,18 @@ class AlgebraicTarget:
         if self.value is not None:
             return 1, self.value.numerator, self.value.denominator
         return self.root.d, self.root.r, self.root.s
+
+
+def _describe_binomial(binomial: BinomialMinPoly) -> str:
+    # decimal coefficients only while they are short: an error message must
+    # not run into the interpreter's int-to-str digit limit
+    s, d, r = binomial.s, binomial.d, binomial.r
+    if max(s, r).bit_length() <= 256:
+        return f"{s}*x^{d} - {r}"
+    return (
+        f"s*x^{d} - r (s of bit length {s.bit_length()}, "
+        f"r of bit length {r.bit_length()})"
+    )
 
 
 @dataclass(frozen=True)
@@ -268,9 +280,7 @@ def solve_by_divisors(
     if s == 1:
         if d == 1:
             # alpha = r is a positive integer; only integer solutions exist
-            found, count = integer_scan(AlgebraicTarget.from_rational(r), config)
-            sols = () if found is None else (Fraction(found),)
-            return SolutionSet(sols, count)
+            return solve_enumerative(AlgebraicTarget.from_rational(r), config)
         # alpha is an algebraic integer of degree >= 2: solutions would be
         # integers, whose self-powers have degree 1
         return SolutionSet((), 0)

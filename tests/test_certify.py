@@ -1,5 +1,6 @@
 """Transcendence certificates: classification, exact bisection, convergence."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -73,6 +74,9 @@ class TestBisect:
     def test_refuses_exact_powers(self):
         with pytest.raises(DomainError):
             bisect_preimage(Fraction(4), Fraction(1, 8))
+        for n in range(2, 41):
+            with pytest.raises(DomainError, match=f"x = {n};"):
+                bisect_preimage(Fraction(n**n), Fraction(1))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(UnsupportedInputError):
@@ -111,3 +115,44 @@ class TestCertificateType:
                 interval=(Fraction(1), Fraction(2)),
                 statement="",
             )
+
+
+def reference_scan(q: Fraction) -> list[tuple[int, Ordering]]:
+    """The certificate's own integer scan, before it ran on solver.integer_scan."""
+    trace = []
+    n = 1
+    while True:
+        c = compare_self_power_to_rational(Fraction(n), q)
+        trace.append((n, c))
+        if c is not Ordering.LESS:
+            return trace
+        n += 1
+
+
+def _seeded_qs() -> list[Fraction]:
+    rng = random.Random(20261018)
+    qs = [Fraction(n) for n in range(2, 300)]
+    qs += [Fraction(rng.randint(300, 10**4)) for _ in range(300)]
+    for n in range(2, 41):
+        qs += [Fraction(n**n + delta) for delta in (-1, 0, 1)]
+    for _ in range(300):
+        den = rng.randint(2, 10**6)
+        qs.append(Fraction(rng.randint(den + 1, 10**9), den))
+    for _ in range(200):
+        qs.append(Fraction(rng.randint(10**12, 10**30), rng.choice((1, 3, 7, 1000))))
+    qs.append(Fraction(rng.randrange(10**399, 10**400), rng.randint(2, 10**6)))
+    return [q for q in qs if q > 1]
+
+
+class TestScanIsTheSolverScan:
+    def test_traces_match_reference(self):
+        for q in _seeded_qs():
+            expected = reference_scan(q)
+            # a width of q leaves the bracket [1, ceil(q)] unbisected
+            result = classify_preimage(q, width=q)
+            if isinstance(result, int):
+                assert expected[-1] == (result, Ordering.EQUAL), q
+                assert len(expected) == result, q
+            else:
+                assert list(result.integer_scan_trace) == expected, q
+                assert f"n = 1..{len(expected)} " in result.statement

@@ -90,6 +90,31 @@ class TestParsePolynomial:
         with pytest.raises(ParseError):
             parse_polynomial("[1, b]")
 
+    def test_superscript_digit_is_a_parse_error(self):
+        # str.isdigit accepts '²', int() does not
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("x²")
+        assert exc.value.position == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_over_long_literal_names_limit_and_position(self):
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * (limit + 100)
+        cases = [
+            (lambda: parse_polynomial(f"x^2 - {digits}"), 6),
+            (lambda: parse_polynomial(f"[-1, 0,  {digits}]"), 9),
+            (lambda: parse_rational(f"1/{digits}"), 2),
+            (lambda: parse_rational(f"-{digits}"), 0),
+        ]
+        for parse, position in cases:
+            with pytest.raises(ParseError) as exc:
+                parse()
+            assert exc.value.position == position
+            assert f"{limit + 100} digits" in str(exc.value)
+            assert f"limit of {limit} digits" in str(exc.value)
+
     def test_degree_cap_holds_for_products(self):
         with pytest.raises(ParseError) as exc:
             parse_polynomial("x^60000*x^60000*x^60000 - 3")
@@ -282,9 +307,11 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "parse"
 
 
-# inputs from the ROADMAP's baseline table that used to hang or crawl; each
-# must finish under its time limit with exit 0 or a typed error (2, 3, 4)
+# inputs from the ROADMAP's baseline table that used to hang or crawl, and
+# inputs that used to crash (exit 1); each must finish under its time limit
+# with exit 0 or a typed error (2, 3, 4)
 _F7 = 2**128 + 1
+_LONG = "7" * 4400  # past the interpreter's default 4300-digit int/str limit
 _ADVERSARIAL = [
     pytest.param(["solve", "--alpha", "x^200-2", "--verify-both"], 30, id="x^200-2"),
     pytest.param(["solve", "--alpha", "x^20000 - 3"], 30, id="x^20000"),
@@ -294,6 +321,15 @@ _ADVERSARIAL = [
     pytest.param(["solve", "--alpha", f"{_F7}*x^2 - 1"], 30, id="F7"),
     pytest.param(
         ["classify", "--q", "2", "--width", "1/1" + "0" * 300], 60, id="classify-1e-300"
+    ),
+    pytest.param(["solve", "--alpha", f"{_LONG}*x^2 - 1"], 30, id="long-term"),
+    pytest.param(["solve", "--alpha", f"[-1, 0, {_LONG}]"], 30, id="long-coefficient"),
+    pytest.param(["minpoly", f"1/{_LONG}"], 30, id="long-fraction"),
+    pytest.param(
+        ["classify", "--q", "2", "--width", f"1/{_LONG}"], 30, id="long-width"
+    ),
+    pytest.param(
+        ["solve", "--alpha", "99999999999^65536*x^2 - 1"], 30, id="huge-reducible"
     ),
 ]
 

@@ -14,6 +14,7 @@ from selfpower import (
     AlgebraicTarget,
     Ordering,
     bisect_preimage,
+    classify_preimage,
     lambda_decompose,
     minimal_polynomial_of_self_power,
     solve_enumerative,
@@ -31,13 +32,27 @@ def test_scan_hit_recheck_raises(monkeypatch):
         solve_enumerative(target)
 
 
-def test_integer_scan_bound_raises(monkeypatch):
+@pytest.mark.parametrize(
+    "scan",
+    [
+        pytest.param(
+            lambda: solver.integer_scan(AlgebraicTarget.from_rational(2)),
+            id="integer_scan",
+        ),
+        pytest.param(lambda: classify_preimage(2), id="classify_preimage"),
+        pytest.param(
+            lambda: bisect_preimage(2, Fraction(1, 100)), id="bisect_preimage"
+        ),
+    ],
+)
+def test_integer_scan_bound_raises(monkeypatch, scan):
+    # the certificate scan is the solver's integer scan, bound check included
     def lying(x, d, r, s, config):
         return Ordering.LESS if x < 10 else Ordering.GREATER
 
     monkeypatch.setattr(solver, "compare_self_power_to_root", lying)
     with pytest.raises(AssertionError, match="proven bound"):
-        solver.integer_scan(AlgebraicTarget.from_rational(2))
+        scan()
 
 
 def test_bisection_bracket_raises(monkeypatch):

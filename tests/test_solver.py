@@ -90,8 +90,13 @@ class TestTargetConstruction:
         assert t.is_rational and t.value == Fraction(3, 2)
 
     def test_reducible_rejected(self):
-        with pytest.raises(TargetShapeError):
+        with pytest.raises(TargetShapeError, match=r"1\*x\^2 - 4 is reducible"):
             target_of(1, 2, 4)
+
+    def test_reducible_message_skips_huge_decimals(self):
+        # s has ~9500 decimal digits, past the interpreter's int-to-str limit
+        with pytest.raises(TargetShapeError, match="31700, r of bit length 1"):
+            target_of(3**20000, 2, 1)
 
     def test_non_binomial_rejected(self):
         with pytest.raises(TargetShapeError):
