@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import enum
 import random
+import threading
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, islice
 from math import gcd, isqrt
 from typing import Iterable
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import DomainError, PreconditionError, ResourceError
+from .errors import DomainError, PreconditionError, ResourceError, number_text
 
 #: Prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 Factorization = tuple[tuple[int, int], ...]
@@ -95,19 +98,58 @@ def is_prime(n: int) -> bool:
 
 
 _TRIAL_LIMIT = 10**6
-_trial_primes: list[int] | None = None
+#: each segment of the trial-division sieve ends this many times further out
+_SIEVE_GROWTH = 16
 
 
-def _trial_prime_list() -> list[int]:
-    global _trial_primes
-    if _trial_primes is None:
-        sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, isqrt(_TRIAL_LIMIT) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(range(p * p, _TRIAL_LIMIT + 1, p)))
-        _trial_primes = [i for i in range(_TRIAL_LIMIT + 1) if sieve[i]]
-    return _trial_primes
+def _sieve_segment(lo: int, hi: int, primes: Iterable[int]) -> list[int]:
+    """The primes in [lo, hi), 2 <= lo; primes holds every prime p with p*p < hi."""
+    candidates = bytearray([1]) * (hi - lo)
+    for p in primes:
+        if p * p >= hi:
+            break
+        start = max(p * p, -(-lo // p) * p) - lo
+        candidates[start::p] = bytes(len(range(start, hi - lo, p)))
+    return list(compress(range(lo, hi), candidates))
+
+
+# Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the primes
+# below _sieve_end, extended in place one segment at a time, and only as far
+# as a factorization walks, so commands on small inputs never sieve to 1e6.
+# Segments are appended whole under the lock; readers iterate the list
+# without it, since it only ever grows by complete segments of larger primes.
+_trial_primes = _sieve_segment(2, 1 << 10, _SMALL_PRIMES)
+_sieve_end = 1 << 10
+_sieve_lock = threading.Lock()
+
+
+def _sieve_through(bound: int) -> None:
+    """Extend the trial primes until they hold every prime <= min(bound, 1e6)."""
+    global _sieve_end
+    with _sieve_lock:
+        while _sieve_end <= min(bound, _TRIAL_LIMIT):
+            hi = min(_sieve_end * _SIEVE_GROWTH, _TRIAL_LIMIT + 1)
+            _trial_primes.extend(_sieve_segment(_sieve_end, hi, _trial_primes))
+            _sieve_end = hi
+
+
+def _trial_divide(n: int, found: dict[int, int]) -> int:
+    """Divide every prime p <= 1e6 with p*p <= n out of n into found; the cofactor."""
+    rest: Iterable[int] = _trial_primes
+    while True:
+        for p in rest:
+            if p * p > n:
+                return n
+            while n % p == 0:
+                found[p] = found.get(p, 0) + 1
+                n //= p
+        # every prime held was tried; the next one lies in (p, 2p] (Bertrand's
+        # postulate) and matters only up to isqrt(n)
+        _sieve_through(min(2 * p, isqrt(n)))
+        resume = bisect_right(_trial_primes, p)
+        if resume == len(_trial_primes):
+            return n
+        rest = islice(_trial_primes, resume, None)
 
 
 def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
@@ -148,58 +190,99 @@ def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
     return g if g != n else None
 
 
+#: A cofactor past this many bits that trial division and the perfect-power
+#: reduction leave is refused: Miller-Rabin costs time cubic in the bit length,
+#: about 0.13 s on a 1024-bit prime, 0.8 s at 2048 bits and 6 s at 4096.
+_MAX_COFACTOR_BITS = 1 << 10
+
+
+@lru_cache(maxsize=None)
+def _residue_moduli(p: int) -> tuple[int, ...]:
+    """The three smallest primes q = 1 (mod 2p)."""
+    moduli: list[int] = []
+    q = 2 * p + 1
+    while len(moduli) < 3:
+        if is_prime(q):
+            moduli.append(q)
+        q += 2 * p
+    return tuple(moduli)
+
+
+def _may_be_power(n: int, p: int) -> bool:
+    """False when n is provably no p-th power.
+
+    A p-th power n = m^p not divisible by a prime q = 1 (mod p) satisfies
+    n^((q-1)/p) = m^(q-1) = 1 (mod q); a non-power passes each such test with
+    probability about 1/p, so most exponents cost no root extraction.
+    """
+    for q in _residue_moduli(p):
+        r = n % q
+        if r and pow(r, (q - 1) // p, q) != 1:
+            return False
+    return True
+
+
 def _as_perfect_power(n: int) -> tuple[int, int]:
-    """Largest k with root**k == n; returns (root, k), k = 1 when n is not a power."""
-    for p in _trial_prime_list():
-        if p > n.bit_length():
+    """Largest k with root**k == n; returns (root, k), k = 1 when n is not a power.
+
+    Requires n > 1 without prime factors <= 1e6, as trial division leaves it:
+    then root > 1e6 >= 2^19, so only the prime exponents p < bit_length(n)/19
+    can occur.
+    """
+    max_exponent = (n.bit_length() - 1) // (_TRIAL_LIMIT.bit_length() - 1)
+    _sieve_through(max_exponent)
+    for p in _trial_primes:
+        if p > max_exponent:
             break
-        root = integer_kth_root(n, p)
-        if root is not None and root < n:
-            base, k = _as_perfect_power(root)
-            return base, k * p
+        if _may_be_power(n, p):
+            root = integer_kth_root(n, p)
+            if root is not None:
+                base, k = _as_perfect_power(root)
+                return base, k * p
     return n, 1
 
 
 def factorize(n: int, config: Config = DEFAULT_CONFIG) -> Factorization:
     """Exact prime factorization of n >= 1 as ((p, e), ...), primes increasing.
 
-    Trial division by primes up to 1e6, then perfect-power reduction and
-    seeded Brent rho with a deterministic primality check on every cofactor.
-    A cofactor that survives the configured effort budget raises
-    ResourceError -- the answer is never guessed.
+    Trial division by primes up to 1e6, sieved only as far as it walks, then
+    perfect-power reduction and seeded Brent rho with a deterministic
+    primality check on every cofactor.  A cofactor that survives the
+    configured effort budget, or that is no perfect power and exceeds
+    _MAX_COFACTOR_BITS, raises ResourceError -- the answer is never guessed.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     found: dict[int, int] = {}
-    for p in _trial_prime_list():
-        if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-            # no prime factor <= 1e6 survives trial division, so a cofactor
-            # below 1e12 is itself prime
-            found[n] = found.get(n, 0) + 1
-        else:
-            rng = random.Random(config.seed)
-            budget = [config.factor_budget]
-            stack = [(n, 1)]
-            while stack:
-                m, mult = stack.pop()
-                if is_prime(m):
-                    found[m] = found.get(m, 0) + mult
-                    continue
-                base, k = _as_perfect_power(m)
-                if k > 1:
-                    stack.append((base, mult * k))
-                    continue
-                f = None
-                while f is None:
-                    f = _rho_brent(m, rng, budget)
-                stack.append((f, mult))
-                stack.append((m // f, mult))
+    n = _trial_divide(n, found)
+    if n > _TRIAL_LIMIT * _TRIAL_LIMIT:
+        rng = random.Random(config.seed)
+        budget = [config.factor_budget]
+        stack = [(n, 1)]
+        while stack:
+            m, mult = stack.pop()
+            base, k = _as_perfect_power(m)
+            if k > 1:
+                stack.append((base, mult * k))
+                continue
+            if m.bit_length() > _MAX_COFACTOR_BITS:
+                raise ResourceError(
+                    f"factorization refused: a cofactor of {m.bit_length()} bits "
+                    f"without prime factors up to {_TRIAL_LIMIT} that is no perfect "
+                    f"power exceeds the {_MAX_COFACTOR_BITS}-bit cofactor cap"
+                )
+            if is_prime(m):
+                found[m] = found.get(m, 0) + mult
+                continue
+            f = None
+            while f is None:
+                f = _rho_brent(m, rng, budget)
+            stack.append((f, mult))
+            stack.append((m // f, mult))
+    elif n > 1:
+        # no prime factor <= 1e6 survives trial division, so a cofactor
+        # below 1e12 is itself prime
+        found[n] = found.get(n, 0) + 1
     return tuple(sorted(found.items()))
 
 
@@ -222,14 +305,33 @@ def padic_valuation(p: int, n: int) -> int:
 
 
 def _kth_root_floor(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, by binary search on a bit-length bracket."""
+    """floor(n ** (1/k)) for n >= 1.
+
+    A root of up to 64 bits comes from binary search on its bit-length
+    bracket.  A longer one comes from Newton's iteration, started above the
+    root from the root of n's leading bits, so it takes a few steps instead of
+    one step per bit of the root.
+    """
     if n == 1 or k >= n.bit_length():
         return 1
     if k == 1:
         return n
     if k == 2:
         return isqrt(n)
-    lo = 1 << ((n.bit_length() - 1) // k)
+    shift = (n.bit_length() - 1) // k
+    if shift >= 64:
+        # with top the root of n >> k*h, n < ((top + 1) * 2^h)^k: x starts
+        # above the root, by a relative 2^-(shift - h) at most
+        h = shift // 2
+        x = (_kth_root_floor(n >> (k * h), k) + 1) << h
+        while True:
+            # from above, the floored Newton step decreases until it reaches
+            # the floor of the root (arithmetic-geometric mean inequality)
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                return x
+            x = y
+    lo = 1 << shift
     hi = lo << 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -299,9 +401,13 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
     if min(x, y, a, b) < 1:
         raise DomainError("lambda_decompose requires positive integers")
     if gcd(a, b) != 1:
-        raise DomainError(f"exponents must be coprime, got gcd({a}, {b}) != 1")
+        raise DomainError(
+            f"exponents must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
+        )
     if not powers_equal(x, a, y, b):
-        raise PreconditionError(f"{x}^{a} != {y}^{b}")
+        raise PreconditionError(
+            f"{number_text(x)}^{number_text(a)} != {number_text(y)}^{number_text(b)}"
+        )
     lam = integer_kth_root(x, b)
     if lam is None:  # impossible once x^a = y^b holds with coprime a, b
         raise AssertionError(f"{x}^(1/{b}) is not an integer although {x}^{a} = {y}^{b}")
@@ -448,7 +554,7 @@ def compare_power_products(
 
 def _require_positive(q: Fraction, name: str) -> None:
     if q <= 0:
-        raise DomainError(f"{name} must be positive, got {q}")
+        raise DomainError(f"{name} must be positive, got {number_text(q)}")
 
 
 def compare_self_power_to_root(
@@ -465,7 +571,9 @@ def compare_self_power_to_root(
     if d < 1 or r < 1 or s < 1:
         raise DomainError("root comparison needs d, r, s >= 1")
     if gcd(r, s) != 1:
-        raise DomainError(f"r and s must be coprime, got gcd({r}, {s}) != 1")
+        raise DomainError(
+            f"r and s must be coprime, got gcd({number_text(r)}, {number_text(s)}) != 1"
+        )
     a, b = t.numerator, t.denominator
     e = a * d
     if powers_equal(a, e, r, b) and powers_equal(b, e, s, b):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .arith import Ordering, compare_self_power_to_rational
 from .config import DEFAULT_CONFIG, Config
-from .errors import DomainError, ResourceError, UnsupportedInputError
+from .errors import DomainError, ResourceError, UnsupportedInputError, number_text
 from .solver import AlgebraicTarget, integer_scan
 
 
@@ -48,7 +48,10 @@ def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fra
         compare_self_power_to_rational(lo, q, config) is not Ordering.LESS
         or compare_self_power_to_rational(hi, q, config) is not Ordering.GREATER
     ):
-        raise AssertionError(f"[{lo}, {hi}] does not bracket the preimage of {q}")
+        raise AssertionError(
+            f"[{number_text(lo)}, {number_text(hi)}] does not bracket the "
+            f"preimage of {number_text(q)}"
+        )
     steps = 0
     while hi - lo > width:
         if steps >= config.max_bisect_steps:
@@ -58,7 +61,10 @@ def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fra
         # Equal cannot happen: a rational x with rational x^x is an integer,
         # and the scan has excluded the integers
         if c is Ordering.EQUAL:
-            raise AssertionError(f"{mid}^{mid} = {q} contradicts the integer scan")
+            raise AssertionError(
+                f"{number_text(mid)}^{number_text(mid)} = {number_text(q)} "
+                "contradicts the integer scan"
+            )
         if c is Ordering.LESS:
             lo = mid
         else:
@@ -79,18 +85,22 @@ def bisect_preimage(
     q = Fraction(q)
     width = Fraction(width)
     if q <= 1:
-        raise UnsupportedInputError(f"bisection covers q > 1 only, got {q}")
+        raise UnsupportedInputError(
+            f"bisection covers q > 1 only, got {number_text(q)}"
+        )
     if width <= 0:
         raise DomainError("width must be positive")
     found, _ = integer_scan(AlgebraicTarget.from_rational(q), config)
     if found is not None:
         raise DomainError(
-            f"x^x = {q} has the exact solution x = {found}; bisection refused"
+            f"x^x = {number_text(q)} has the exact solution x = {found}; "
+            "bisection refused"
         )
     return _bisect(q, width, config)
 
 
 def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
+    q, lo, hi = number_text(q), number_text(lo), number_text(hi)
     return (
         f"The equation x^x = {q} has a unique real solution x > 1, isolated by "
         f"the exact bracket ({lo}, {hi}). Any positive rational x with x^x "
@@ -108,7 +118,9 @@ def classify_preimage(
     certificate for the unique real x > 1 with x^x = q.  Requires q > 1."""
     q = Fraction(q)
     if q <= 1:
-        raise UnsupportedInputError(f"classification covers q > 1 only, got {q}")
+        raise UnsupportedInputError(
+            f"classification covers q > 1 only, got {number_text(q)}"
+        )
     found, scanned = integer_scan(AlgebraicTarget.from_rational(q), config)
     if found is not None:
         return found

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .certify import Certificate, classify_preimage
 from .config import Config
-from .errors import DomainError, ParseError, ResourceError
+from .errors import DomainError, ParseError, ResourceError, number_text
 from .minpoly import IntPolynomial, minimal_polynomial_of_self_power
 from .polypower import (
     analyze_poly_power,
@@ -143,6 +143,10 @@ def _tokenize(text: str) -> list[tuple[str, int | str | None, int]]:
 # degree ceiling for parsed polynomials, enforced on every exponent and every
 # product; enumeration beyond this is infeasible anyway
 _MAX_DEGREE = 1 << 16
+# coefficient ceiling in bits, enforced on every power before it is formed and
+# on every product; it admits 1000003^3000 (59,795 bits), and factoring and
+# root extraction on coefficients this long take seconds, not minutes
+_MAX_COEFFICIENT_BITS = 1 << 16
 
 
 class _ExpressionParser:
@@ -209,6 +213,12 @@ class _ExpressionParser:
                         f"{_MAX_DEGREE}",
                         position=pos,
                     )
+                if c.bit_length() > _MAX_COEFFICIENT_BITS:
+                    raise ParseError(
+                        f"product coefficient of {c.bit_length()} bits exceeds the "
+                        f"supported coefficient size of {_MAX_COEFFICIENT_BITS} bits",
+                        position=pos,
+                    )
             else:
                 return c, n
 
@@ -227,7 +237,17 @@ class _ExpressionParser:
                     f"exponent {value} exceeds the supported degree {_MAX_DEGREE}",
                     position=pos,
                 )
-            return c**value, n * value
+            # |c|^value has more than (bit_length(c) - 1) * value bits, so a
+            # power far past the cap is refused before it is formed
+            if (c.bit_length() - 1) * value < _MAX_COEFFICIENT_BITS:
+                power = c**value
+                if power.bit_length() <= _MAX_COEFFICIENT_BITS:
+                    return power, n * value
+            raise ParseError(
+                f"power {number_text(c)}^{value} exceeds the supported "
+                f"coefficient size of {_MAX_COEFFICIENT_BITS} bits",
+                position=pos,
+            )
         return c, n
 
     def atom(self) -> tuple[int, int]:

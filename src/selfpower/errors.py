@@ -1,8 +1,32 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and how their texts show numbers.
 
 The CLI maps these onto process exit codes: parse errors exit with 2,
 domain and precondition errors with 3, resource errors with 4.
 """
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+#: Integers of at most this many bits (617 decimal digits) appear in texts in
+#: decimal, longer ones by their bit length.  The interpreter refuses to write
+#: integers past its int-to-str digit limit as text, 4300 digits by default and
+#: never fewer than 640; certificate brackets at width 1e-300 stay below it.
+DECIMAL_TEXT_BITS = 2048
+
+
+def number_text(value: int | Fraction) -> str:
+    """str(value), except that an integer part of more than DECIMAL_TEXT_BITS
+    bits is written as its bit length, as in '1/<16610-bit integer>'."""
+
+    def part(n: int) -> str:
+        if n.bit_length() <= DECIMAL_TEXT_BITS:
+            return str(n)
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+    if value.denominator == 1:
+        return part(value.numerator)
+    return f"{part(value.numerator)}/{part(value.denominator)}"
 
 
 class SelfPowerError(Exception):

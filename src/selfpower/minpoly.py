@@ -15,7 +15,7 @@ from math import gcd
 
 from .arith import Factorization, factorize, integer_kth_root
 from .config import DEFAULT_CONFIG, Config
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, number_text
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,10 @@ class BinomialMinPoly:
         if self.s < 1 or self.d < 1 or self.r < 1:
             raise DomainError("binomial needs s, d, r >= 1")
         if gcd(self.r, self.s) != 1:
-            raise DomainError(f"gcd(r, s) must be 1, got gcd({self.r}, {self.s})")
+            raise DomainError(
+                f"gcd(r, s) must be 1, got gcd({number_text(self.r)}, "
+                f"{number_text(self.s)})"
+            )
 
     def as_polynomial(self) -> IntPolynomial:
         coeffs = [0] * (self.d + 1)
@@ -98,13 +101,16 @@ def minimal_polynomial_of_self_power(
     if a < 1 or b < 1:
         raise DomainError("need a, b >= 1")
     if gcd(a, b) != 1:
-        raise DomainError(f"a and b must be coprime, got gcd({a}, {b}) != 1")
+        raise DomainError(
+            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
+        )
     fa = factorize(a, config)
     fb = factorize(b, config)
     g = _exponent_gcd(b, fa, fb)
     est_bits = (a // g + 1) * (b.bit_length() + a.bit_length())
     if est_bits > config.bit_cap:
-        raise ResourceError(f"minimal polynomial of ({a}/{b})^({a}/{b}) exceeds bit cap")
+        ab = f"{number_text(a)}/{number_text(b)}"
+        raise ResourceError(f"minimal polynomial of ({ab})^({ab}) exceeds bit cap")
     s = r = 1
     for q, e in fb:
         s *= q ** (e // g * a)
@@ -118,7 +124,9 @@ def degree_of_self_power(a: int, b: int, config: Config = DEFAULT_CONFIG) -> int
     if a < 1 or b < 1:
         raise DomainError("need a, b >= 1")
     if gcd(a, b) != 1:
-        raise DomainError(f"a and b must be coprime, got gcd({a}, {b}) != 1")
+        raise DomainError(
+            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
+        )
     fa = factorize(a, config)
     fb = factorize(b, config)
     return b // _exponent_gcd(b, fa, fb)

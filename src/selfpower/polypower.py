@@ -15,7 +15,7 @@ from math import gcd
 
 from .arith import integer_kth_root, log2_interval
 from .config import DEFAULT_CONFIG, Config
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, number_text
 from .minpoly import IntPolynomial
 
 
@@ -49,7 +49,7 @@ def rational_power(
     p reciprocates; exponent 0 gives 1.
     """
     if base <= 0:
-        raise DomainError(f"base must be positive, got {base}")
+        raise DomainError(f"base must be positive, got {number_text(base)}")
     p, q = exponent.numerator, exponent.denominator
     if p == 0:
         return Fraction(1)
@@ -62,7 +62,9 @@ def rational_power(
         return None
     bits = abs(p) * max(root_u.bit_length(), root_v.bit_length())
     if bits > config.bit_cap:
-        raise ResourceError(f"{base}**{exponent} exceeds the bit cap")
+        raise ResourceError(
+            f"{number_text(base)}**{number_text(exponent)} exceeds the bit cap"
+        )
     return Fraction(root_u, root_v) ** p
 
 
@@ -73,7 +75,7 @@ def analyze_poly_power(
     if poly.degree < 1:
         raise DomainError("polynomial must be non-constant")
     if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
+        raise DomainError(f"x must be positive, got {number_text(x)}")
     exponent = eval_polynomial(poly, x)
     return RationalityVerdict(
         exponent=exponent, rational=rational_power(x, exponent, config)

@@ -29,7 +29,13 @@ from .arith import (
     powers_equal,
 )
 from .config import DEFAULT_CONFIG, Config
-from .errors import DomainError, ResourceError, TargetShapeError
+from .errors import (
+    DECIMAL_TEXT_BITS,
+    DomainError,
+    ResourceError,
+    TargetShapeError,
+    number_text,
+)
 from .minpoly import (
     BinomialMinPoly,
     IntPolynomial,
@@ -54,7 +60,7 @@ class AlgebraicTarget:
         if (self.value is None) == (self.root is None):
             raise DomainError("target needs exactly one of value or root")
         if self.value is not None and self.value <= 0:
-            raise DomainError(f"alpha must be positive, got {self.value}")
+            raise DomainError(f"alpha must be positive, got {number_text(self.value)}")
         if self.root is not None and self.root.d < 2:
             raise DomainError("degree-1 binomials must be given as rational values")
 
@@ -106,7 +112,7 @@ def _describe_binomial(binomial: BinomialMinPoly) -> str:
     # decimal coefficients only while they are short: an error message must
     # not run into the interpreter's int-to-str digit limit
     s, d, r = binomial.s, binomial.d, binomial.r
-    if max(s, r).bit_length() <= 256:
+    if max(s, r).bit_length() <= DECIMAL_TEXT_BITS:
         return f"{s}*x^{d} - {r}"
     return (
         f"s*x^{d} - r (s of bit length {s.bit_length()}, "

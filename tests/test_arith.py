@@ -1,14 +1,22 @@
 """Integer/rational primitive tests: examples, brute-force oracles, properties."""
 
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfpower import arith
 from selfpower import (
     Config,
     DomainError,
@@ -49,6 +57,63 @@ def trial_is_prime(n):
     if n < 2:
         return False
     return all(n % p for p in range(2, isqrt(n) + 1))
+
+
+@cache
+def eager_trial_primes():
+    """Every prime up to 1e6, sieved at once (the sieve factorize used to build)."""
+    limit = 10**6
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return [i for i in range(limit + 1) if sieve[i]]
+
+
+def reference_as_perfect_power(n):
+    for p in eager_trial_primes():
+        if p > n.bit_length():
+            break
+        root = integer_kth_root(n, p)
+        if root is not None and root < n:
+            base, k = reference_as_perfect_power(root)
+            return base, k * p
+    return n, 1
+
+
+def reference_factorize(n, config=Config()):
+    """factorize over the eager sieve: trial division, then is_prime, the
+    perfect-power search over every prime up to bit_length(n), and rho."""
+    found = {}
+    for p in eager_trial_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        if n <= 10**12 or is_prime(n):
+            found[n] = found.get(n, 0) + 1
+        else:
+            rng = random.Random(config.seed)
+            budget = [config.factor_budget]
+            stack = [(n, 1)]
+            while stack:
+                m, mult = stack.pop()
+                if is_prime(m):
+                    found[m] = found.get(m, 0) + mult
+                    continue
+                base, k = reference_as_perfect_power(m)
+                if k > 1:
+                    stack.append((base, mult * k))
+                    continue
+                f = None
+                while f is None:
+                    f = arith._rho_brent(m, rng, budget)
+                stack.append((f, mult))
+                stack.append((m // f, mult))
+    return tuple(sorted(found.items()))
 
 
 class TestReduce:
@@ -109,6 +174,143 @@ class TestFactorize:
         with pytest.raises(ResourceError):
             factorize(p * q, Config(factor_budget=50))
 
+    def test_huge_prime_power_is_fast(self):
+        # trial division walks all 78,498 primes over a 59,795-bit n; the
+        # perfect-power reduction then takes square and cube roots only
+        start = time.perf_counter()
+        assert factorize(1_000_003**3000) == ((1_000_003, 3000),)
+        assert time.perf_counter() - start < 20
+
+    def test_large_non_power_cofactor_is_refused(self):
+        n = 1_000_003**120 * 1_000_033
+        with pytest.raises(ResourceError, match=r"cofactor of 2412 bits .* 1024-bit"):
+            factorize(n)
+        # the same size is answered when it is a perfect power
+        assert factorize(1_000_003**120 * 1_000_033**120) == (
+            (1_000_003, 120),
+            (1_000_033, 120),
+        )
+        # 1216 bits: the prime exponent 61 sits near the largest one a root
+        # above 1e6 allows, 1215 // 19 = 63
+        assert factorize(1_000_003**61) == ((1_000_003, 61),)
+
+    def test_perfect_power_reduction_matches_reference(self):
+        rng = random.Random(7)
+        primes = [1_000_003, 1_000_033, 1_000_037, 15_485_863, 2**61 - 1]
+        for _ in range(60):
+            base = 1
+            for _ in range(rng.randrange(1, 3)):
+                base *= rng.choice(primes)
+            n = base ** rng.randrange(1, 13) * rng.randrange(1, 50)
+            assert factorize(n) == reference_factorize(n), n
+
+
+# the limits the trial primes grow through are 2^10, 2^14, 2^18 and 1e6 + 1;
+# each pair straddles one of them
+_BOUNDARY_PRIMES = (1021, 1031, 16381, 16411, 262139, 262147, 999983, 1000003)
+# primes just below and just above 1e12, the largest cofactor taken as prime
+# without a test
+_NEAR_1E12 = (999_999_999_989, 1_000_000_000_039)
+
+
+@pytest.fixture
+def fresh_trial_primes(monkeypatch):
+    """Sets the trial primes back to what a new process holds, the primes
+    below 1024, now and on each call of the returned function; the test's
+    end restores the grown list."""
+
+    def reset():
+        monkeypatch.setattr(arith, "_trial_primes", eager_trial_primes()[:172])
+        monkeypatch.setattr(arith, "_sieve_end", 1 << 10)
+
+    reset()
+    return reset
+
+
+class TestGrownTrialPrimes:
+    def test_first_segment_is_the_primes_below_1024(self):
+        primes = eager_trial_primes()
+        assert primes[171] == 1021 and primes[172] == 1031
+        assert arith._sieve_segment(2, 1 << 10, arith._SMALL_PRIMES) == primes[:172]
+
+    def test_full_growth_equals_the_eager_sieve(self, fresh_trial_primes):
+        arith._sieve_through(10**7)
+        assert arith._trial_primes == eager_trial_primes()
+        assert arith._sieve_end == 10**6 + 1
+
+    def test_boundary_products_match_reference(self, fresh_trial_primes):
+        inputs = [p * q for i, p in enumerate(_BOUNDARY_PRIMES) for q in _BOUNDARY_PRIMES[i:]]
+        inputs += [p * m for p in _NEAR_1E12 for m in (1, 2, 1021, 1031, 999983)]
+        inputs += [10**12 - 1, 10**12, 10**12 + 1, 1000003**3, 999983**2 * 1000003]
+        for p in _BOUNDARY_PRIMES + _NEAR_1E12:
+            assert is_prime(p)
+        for n in inputs:
+            fresh_trial_primes()
+            assert factorize(n) == reference_factorize(n), n
+            # and again on the list this factorization grew
+            assert factorize(n) == reference_factorize(n), n
+        assert arith._trial_primes == eager_trial_primes()[: len(arith._trial_primes)]
+
+    def test_growth_stops_where_trial_division_does(self, fresh_trial_primes):
+        factorize(1021**2)
+        assert arith._sieve_end == 1 << 10
+        factorize(1031**2)
+        assert arith._sieve_end == 1 << 14
+        factorize(262139 * 262147)
+        assert arith._sieve_end == 1 << 18
+        factorize(999983**2)
+        assert arith._sieve_end == 10**6 + 1
+
+    def test_small_command_sieves_only_the_first_segment(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("XX_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import contextlib, io\n"
+            "from selfpower import arith, cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['minpoly', '8/27'])\n"
+            "print(len(arith._trial_primes))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 172
+
+    def test_concurrent_growth_matches_reference(self, fresh_trial_primes):
+        # more threads than cores exhaust the list at the same time and grow
+        # it to 1e6; a segment sieved twice or skipped breaks the equalities
+        numbers = (
+            999_983 * 1_000_003 * 6,
+            1_000_003**2 * 16_411,
+            262_147 * 999_983,
+            1_000_003 * 1_000_033 * 1021,
+        )
+        expected = [reference_factorize(n) for n in numbers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                fresh_trial_primes()
+                barrier = threading.Barrier(len(numbers))
+                results = [None] * len(numbers)
+
+                def work(i):
+                    barrier.wait()
+                    results[i] = factorize(numbers[i])
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(len(numbers))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == expected
+                assert arith._trial_primes == eager_trial_primes()
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestPrimality:
     @given(st.integers(0, 200_000))
@@ -148,6 +350,30 @@ class TestIntegerKthRoot:
     @given(st.integers(0, 10**9), st.integers(1, 40))
     def test_round_trip(self, m, k):
         assert integer_kth_root(m**k, k) == m
+
+    @given(st.integers(2**64, 2**900), st.integers(3, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_long_roots_by_newton(self, m, k):
+        # roots past 64 bits take Newton's iteration, not binary search
+        assert integer_kth_root(m**k, k) == m
+        assert integer_kth_root(m**k - 1, k) is None
+        assert integer_kth_root(m**k + 1, k) is None
+
+    def test_floor_property_on_long_roots(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            k = rng.randrange(3, 80)
+            n = rng.getrandbits(rng.randrange(64 * k, 64 * k + 3000))
+            root = arith._kth_root_floor(n, k)
+            assert root**k <= n < (root + 1) ** k, (n, k)
+
+    def test_cube_root_of_a_60000_bit_number_is_fast(self):
+        n = 1_000_003**2997 * 1_000_033**3
+        start = time.perf_counter()
+        assert integer_kth_root(n, 3) == 1_000_003**999 * 1_000_033
+        assert integer_kth_root(n + 1, 3) is None
+        # binary search on the bit-length bracket takes about 8 s
+        assert time.perf_counter() - start < 2
 
     @given(st.integers(1, 10**12), st.integers(2, 8))
     @settings(max_examples=300, deadline=None)

@@ -53,6 +53,41 @@ class TestClassify:
             classify_preimage(Fraction(1, 2))
 
 
+class TestHugeValuesInTexts:
+    # decimal texts of these q pass the interpreter's 4300-digit int-to-str
+    # limit; every text writes them by bit length instead
+    HUGE = 10**5000 + 1
+
+    def test_certificate_statement(self):
+        q = Fraction(self.HUGE)
+        cert = classify_preimage(q, width=q)
+        assert cert.interval == (1, q)
+        assert cert.statement.startswith(
+            "The equation x^x = <16610-bit integer> has a unique real solution "
+            "x > 1, isolated by the exact bracket (1, <16610-bit integer>)."
+        )
+
+    def test_classify_refusal(self):
+        with pytest.raises(UnsupportedInputError, match=r"got 1/<16610-bit integer>$"):
+            classify_preimage(Fraction(1, 10**5000))
+
+    def test_bisect_refusal(self):
+        with pytest.raises(UnsupportedInputError, match=r"got 1/<16610-bit integer>$"):
+            bisect_preimage(Fraction(1, 10**5000), 1)
+
+    def test_ordinary_texts_keep_their_decimals(self):
+        cert = classify_preimage(Fraction(5, 2), width=Fraction(1, 4))
+        lo, hi = cert.interval
+        assert cert.statement.startswith(
+            f"The equation x^x = 5/2 has a unique real solution x > 1, isolated "
+            f"by the exact bracket ({lo}, {hi})."
+        )
+        with pytest.raises(UnsupportedInputError, match=r"got -7/3$"):
+            classify_preimage(Fraction(-7, 3))
+        with pytest.raises(DomainError, match=r"^x\^x = 4 has the exact solution x = 2"):
+            bisect_preimage(4, Fraction(1, 8))
+
+
 class TestBisect:
     def test_interval_invariants(self):
         lo, hi = bisect_preimage(Fraction(2), Fraction(1, 8))

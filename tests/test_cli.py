@@ -125,6 +125,29 @@ class TestParsePolynomial:
         assert "65536" in str(exc.value)
         assert parse_polynomial("x^32768*x^32768 - 1").degree == 65536
 
+    def test_coefficient_cap_holds_for_powers_and_products(self):
+        # refused before 99999999999^65536 (2.4M bits) is formed
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("99999999999^65536*x^2 - 1")
+        assert str(exc.value) == (
+            "power 99999999999^65536 exceeds the supported coefficient size of "
+            "65536 bits (at position 12)"
+        )
+        assert time.perf_counter() - start < 1.0
+        # just past the cap: 2^65536 has 65537 bits
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("x^2 - 2^65536")
+        assert exc.value.position == 8
+        assert parse_polynomial("2^65535*x - 1").coeffs == (-1, 2**65535)
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("2^40000*x*2^30000 - 3")
+        assert str(exc.value) == (
+            "product coefficient of 70001 bits exceeds the supported coefficient "
+            "size of 65536 bits (at position 9)"
+        )
+        assert parse_polynomial("1000003^3000*x^2 - 2").coeffs == (-2, 0, 1000003**3000)
+
     def test_large_powers_are_fast(self):
         start = time.perf_counter()
         assert parse_polynomial("x^9000*x^9000*x^9000 - 3").coeffs == (
@@ -330,6 +353,15 @@ _ADVERSARIAL = [
     ),
     pytest.param(
         ["solve", "--alpha", "99999999999^65536*x^2 - 1"], 30, id="huge-reducible"
+    ),
+    pytest.param(
+        ["solve", "--alpha", "1000003^3000*x^2 - 2"], 30, id="huge-prime-power"
+    ),
+    pytest.param(
+        ["solve", "--alpha", "1000003^2997*1000033^3*x^2 - 2"], 30, id="huge-cube"
+    ),
+    pytest.param(
+        ["solve", "--alpha", "1000003^3000*1000033*x^2 - 2"], 30, id="huge-cofactor"
     ),
 ]
 

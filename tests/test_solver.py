@@ -106,6 +106,18 @@ class TestTargetConstruction:
         with pytest.raises(DomainError):
             AlgebraicTarget.from_rational(Fraction(-2))
 
+    def test_domain_texts_write_huge_values_by_bit_length(self):
+        # decimal texts of these values pass the interpreter's int-to-str limit
+        huge = 10**5000
+        with pytest.raises(DomainError, match=r"got -<16610-bit integer>$"):
+            AlgebraicTarget.from_rational(-huge)
+        with pytest.raises(DomainError, match=r"got gcd\(<16610-bit integer>, 10\)"):
+            BinomialMinPoly(s=10, d=2, r=huge)
+        with pytest.raises(DomainError, match=r"coprime, got gcd\(<16610-bit integer>, 10\)"):
+            compare_self_power_to_root(Fraction(1, 2), 2, huge, 10)
+        with pytest.raises(DomainError, match=r"got gcd\(<16610-bit integer>, <16610"):
+            minimal_polynomial_of_self_power(huge, huge)
+
     def test_root_triple(self):
         assert target_of(2, 2, 1).root_triple() == (2, 1, 2)
         assert AlgebraicTarget.from_rational(Fraction(3, 4)).root_triple() == (1, 3, 4)
