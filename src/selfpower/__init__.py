@@ -21,7 +21,6 @@ from .arith import (
     reduce_fraction,
 )
 from .certify import Certificate, bisect_preimage, classify_preimage
-from .config import Config, DEFAULT_CONFIG
 from .errors import (
     DomainError,
     ParseError,
@@ -73,8 +72,6 @@ __all__ = [
     "BACKEND",
     "BinomialMinPoly",
     "Certificate",
-    "Config",
-    "DEFAULT_CONFIG",
     "DomainError",
     "Factorization",
     "IntPolynomial",

@@ -6,7 +6,7 @@ extraction for x^a = y^b with coprime exponents, and exact order comparisons
 of self-power expressions t^t against rationals and against d-th roots of
 rationals.
 
-Comparands too large to materialise under the configured bit cap are ordered
+Comparands too large to materialise under the bit cap BIT_CAP are ordered
 through rigorous fixed-point enclosures of log2 -- still integer-only; a sign
 is reported only once the enclosure excludes zero, and exact equality is
 always detected structurally beforehand, so no decision ever rests on an
@@ -25,11 +25,14 @@ from itertools import compress, islice
 from math import gcd, isqrt
 from typing import Iterable
 
-from .config import DEFAULT_CONFIG, Config
 from .errors import DomainError, PreconditionError, ResourceError, number_text
 
 #: Prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 Factorization = tuple[tuple[int, int], ...]
+
+#: Bit-size cap for operations that materialise a^a-scale integers; past it
+#: comparisons go through log2 enclosures and constructions are refused.
+BIT_CAP = 1 << 20
 
 
 class Ordering(enum.Enum):
@@ -152,6 +155,19 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
         rest = islice(_trial_primes, resume, None)
 
 
+#: Pollard-rho iterations one factorization may spend before it is refused.
+_FACTOR_BUDGET = 500_000
+#: Seed of rho's random starting points, so every run takes the same path.
+_RHO_SEED = 0x5E1F
+
+
+def _budget_exhausted(n: int) -> ResourceError:
+    return ResourceError(
+        f"factorization budget of {number_text(_FACTOR_BUDGET)} rho iterations "
+        f"exhausted on a {n.bit_length()}-bit cofactor {number_text(n)}"
+    )
+
+
 def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
     """One Brent cycle-finding pass; nontrivial factor of composite odd n, or None.
 
@@ -174,7 +190,7 @@ def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
                 q = q * abs(x - y) % n
             budget[0] -= min(m, r - k)
             if budget[0] <= 0:
-                raise ResourceError(f"factorization budget exhausted on {n}")
+                raise _budget_exhausted(n)
             g = gcd(q, n)
             k += m
         r *= 2
@@ -183,7 +199,7 @@ def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
             ys = (ys * ys + c) % n
             budget[0] -= 1
             if budget[0] <= 0:
-                raise ResourceError(f"factorization budget exhausted on {n}")
+                raise _budget_exhausted(n)
             g = gcd(abs(x - ys), n)
             if g > 1:
                 break
@@ -242,22 +258,23 @@ def _as_perfect_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
-def factorize(n: int, config: Config = DEFAULT_CONFIG) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Exact prime factorization of n >= 1 as ((p, e), ...), primes increasing.
 
     Trial division by primes up to 1e6, sieved only as far as it walks, then
     perfect-power reduction and seeded Brent rho with a deterministic
-    primality check on every cofactor.  A cofactor that survives the
-    configured effort budget, or that is no perfect power and exceeds
-    _MAX_COFACTOR_BITS, raises ResourceError -- the answer is never guessed.
+    primality check on every cofactor.  A cofactor that survives the rho
+    budget of _FACTOR_BUDGET iterations, or that is no perfect power and
+    exceeds _MAX_COFACTOR_BITS, raises ResourceError -- the answer is never
+    guessed.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     found: dict[int, int] = {}
     n = _trial_divide(n, found)
     if n > _TRIAL_LIMIT * _TRIAL_LIMIT:
-        rng = random.Random(config.seed)
-        budget = [config.factor_budget]
+        rng = random.Random(_RHO_SEED)
+        budget = [_FACTOR_BUDGET]
         stack = [(n, 1)]
         while stack:
             m, mult = stack.pop()
@@ -506,16 +523,14 @@ _MAX_LOG_PRECISION = 1 << 16
 def compare_power_products(
     lhs: Iterable[tuple[int, int]],
     rhs: Iterable[tuple[int, int]],
-    config: Config = DEFAULT_CONFIG,
 ) -> Ordering:
     """Exact order of two products of powers, given as (base, exponent) pairs.
 
-    Bases must be >= 1 and exponents >= 0.  Products that fit under the
-    configured bit cap are compared directly; larger ones through log2
-    enclosures at doubling precision.  On the enclosure path exact equality
-    must have been ruled out by the caller (structurally, as the self-power
-    comparators do); inputs that stay indistinguishable at the maximum
-    precision raise ResourceError.
+    Bases must be >= 1 and exponents >= 0.  Products that fit under BIT_CAP
+    are compared directly; larger ones through log2 enclosures at doubling
+    precision.  On the enclosure path exact equality must have been ruled out
+    by the caller (structurally, as the self-power comparators do); inputs
+    that stay indistinguishable at the maximum precision raise ResourceError.
     """
     left = [(b, e) for b, e in lhs if b != 1 and e != 0]
     right = [(b, e) for b, e in rhs if b != 1 and e != 0]
@@ -524,7 +539,7 @@ def compare_power_products(
             raise DomainError("power products need bases >= 1 and exponents >= 0")
     lbits = sum(e * b.bit_length() for b, e in left)
     rbits = sum(e * b.bit_length() for b, e in right)
-    if max(lbits, rbits) <= config.bit_cap:
+    if max(lbits, rbits) <= BIT_CAP:
         lprod = rprod = 1
         for b, e in left:
             lprod *= b**e
@@ -548,7 +563,8 @@ def compare_power_products(
             return Ordering.LESS
         prec <<= 1
     raise ResourceError(
-        "comparison unresolved at maximum log precision; operands may be equal"
+        f"comparison unresolved at the log2 precision cap of "
+        f"{number_text(_MAX_LOG_PRECISION)} bits; operands may be equal"
     )
 
 
@@ -557,9 +573,7 @@ def _require_positive(q: Fraction, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {number_text(q)}")
 
 
-def compare_self_power_to_root(
-    t: Fraction, d: int, r: int, s: int, config: Config = DEFAULT_CONFIG
-) -> Ordering:
+def compare_self_power_to_root(t: Fraction, d: int, r: int, s: int) -> Ordering:
     """Exact order of t**t versus the positive real d-th root of r/s.
 
     Requires t > 0, d >= 1, r, s >= 1 with gcd(r, s) = 1.  Raising both sides
@@ -578,12 +592,10 @@ def compare_self_power_to_root(
     e = a * d
     if powers_equal(a, e, r, b) and powers_equal(b, e, s, b):
         return Ordering.EQUAL
-    return compare_power_products([(a, e), (s, b)], [(b, e), (r, b)], config)
+    return compare_power_products([(a, e), (s, b)], [(b, e), (r, b)])
 
 
-def compare_self_power_to_rational(
-    t: Fraction, q: Fraction, config: Config = DEFAULT_CONFIG
-) -> Ordering:
+def compare_self_power_to_rational(t: Fraction, q: Fraction) -> Ordering:
     """Exact order of t**t versus the rational q, both positive.
 
     The d = 1 case of compare_self_power_to_root: writing t = a/b and q = m/n
@@ -591,4 +603,4 @@ def compare_self_power_to_rational(
     b^a * m^b, and equality splits into a^a = m^b and b^a = n^b.
     """
     _require_positive(q, "q")
-    return compare_self_power_to_root(t, 1, q.numerator, q.denominator, config)
+    return compare_self_power_to_root(t, 1, q.numerator, q.denominator)

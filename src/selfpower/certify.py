@@ -18,9 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Ordering, compare_self_power_to_rational
-from .config import DEFAULT_CONFIG, Config
 from .errors import DomainError, ResourceError, UnsupportedInputError, number_text
 from .solver import AlgebraicTarget, integer_scan
+
+#: Width of the isolating interval classify_preimage returns by default.
+DEFAULT_WIDTH = Fraction(1, 10**9)
+#: Halvings one bisection may take; a narrower width is refused up front.
+_MAX_HALVINGS = 10_000
 
 
 @dataclass(frozen=True)
@@ -40,24 +44,32 @@ class Certificate:
             raise DomainError("certificate interval must be nonempty")
 
 
-def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fraction]:
+def _bisect(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    if width <= 0:
+        raise DomainError("width must be positive")
     lo = Fraction(1)
     hi = Fraction(max(2, -(-q.numerator // q.denominator)))
+    # halvings are exact: j of them leave a bracket of width (hi - lo) / 2^j,
+    # so the fewest that reach width are the least j with 2^j >= m, where
+    # m = ceil((hi - lo) / width), and that j is the bit length of m - 1
+    halvings = (-((lo - hi) // width) - 1).bit_length()
+    if halvings > _MAX_HALVINGS:
+        raise ResourceError(
+            f"bisection to width {number_text(width)} needs {number_text(halvings)} "
+            f"halvings, past the cap of {number_text(_MAX_HALVINGS)} halvings"
+        )
     # x^x is strictly increasing on [1, inf); these endpoints straddle q
     if (
-        compare_self_power_to_rational(lo, q, config) is not Ordering.LESS
-        or compare_self_power_to_rational(hi, q, config) is not Ordering.GREATER
+        compare_self_power_to_rational(lo, q) is not Ordering.LESS
+        or compare_self_power_to_rational(hi, q) is not Ordering.GREATER
     ):
         raise AssertionError(
             f"[{number_text(lo)}, {number_text(hi)}] does not bracket the "
             f"preimage of {number_text(q)}"
         )
-    steps = 0
-    while hi - lo > width:
-        if steps >= config.max_bisect_steps:
-            raise ResourceError("bisection iteration cap exceeded")
+    for _ in range(halvings):
         mid = (lo + hi) / 2
-        c = compare_self_power_to_rational(mid, q, config)
+        c = compare_self_power_to_rational(mid, q)
         # Equal cannot happen: a rational x with rational x^x is an integer,
         # and the scan has excluded the integers
         if c is Ordering.EQUAL:
@@ -69,34 +81,29 @@ def _bisect(q: Fraction, width: Fraction, config: Config) -> tuple[Fraction, Fra
             lo = mid
         else:
             hi = mid
-        steps += 1
     return lo, hi
 
 
-def bisect_preimage(
-    q, width, config: Config = DEFAULT_CONFIG
-) -> tuple[Fraction, Fraction]:
+def bisect_preimage(q, width) -> tuple[Fraction, Fraction]:
     """Exact isolating interval for the real x > 1 with x^x = q.
 
     Returns rationals lo < hi with hi - lo <= width, lo^lo < q and hi^hi > q,
     every comparison exact; midpoints stay dyadic to control denominator
-    growth.  Refused when q = n^n has an exact integer solution.
+    growth.  Refused when q = n^n has an exact integer solution, and when
+    width needs more than _MAX_HALVINGS halvings.
     """
     q = Fraction(q)
-    width = Fraction(width)
     if q <= 1:
         raise UnsupportedInputError(
             f"bisection covers q > 1 only, got {number_text(q)}"
         )
-    if width <= 0:
-        raise DomainError("width must be positive")
-    found, _ = integer_scan(AlgebraicTarget.from_rational(q), config)
+    found, _ = integer_scan(AlgebraicTarget.from_rational(q))
     if found is not None:
         raise DomainError(
             f"x^x = {number_text(q)} has the exact solution x = {found}; "
             "bisection refused"
         )
-    return _bisect(q, width, config)
+    return _bisect(q, Fraction(width))
 
 
 def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
@@ -111,9 +118,7 @@ def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
     )
 
 
-def classify_preimage(
-    q, width=None, config: Config = DEFAULT_CONFIG
-) -> int | Certificate:
+def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     """The integer n with n^n = q when one exists; otherwise a transcendence
     certificate for the unique real x > 1 with x^x = q.  Requires q > 1."""
     q = Fraction(q)
@@ -121,11 +126,10 @@ def classify_preimage(
         raise UnsupportedInputError(
             f"classification covers q > 1 only, got {number_text(q)}"
         )
-    found, scanned = integer_scan(AlgebraicTarget.from_rational(q), config)
+    found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
     if found is not None:
         return found
-    width = config.bisect_width if width is None else Fraction(width)
-    lo, hi = _bisect(q, width, config)
+    lo, hi = _bisect(q, Fraction(width))
     # the scan stopped at the first n with n^n > q
     trace = [(n, Ordering.LESS) for n in range(1, scanned)]
     trace.append((scanned, Ordering.GREATER))

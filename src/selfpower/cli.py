@@ -3,9 +3,9 @@ command dispatch, deterministic JSON and human-readable output.
 
 Rationals are rendered as strings ("a/b", plain "a" for integers) so exactness
 survives the interface; JSON output is byte-deterministic for a fixed input
-and configuration (sorted keys, canonical rendering).  Exit codes: 0 success,
-2 parse error, 3 domain or precondition error, 4 resource error; errors are a
-single JSON line on stderr.
+(sorted keys, canonical rendering).  Exit codes: 0 success, 2 parse error,
+3 domain or precondition error, 4 resource error; errors are a single JSON
+line on stderr.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
-from .certify import Certificate, classify_preimage
-from .config import Config
+from .certify import DEFAULT_WIDTH, Certificate, classify_preimage
 from .errors import DomainError, ParseError, ResourceError, number_text
 from .minpoly import IntPolynomial, minimal_polynomial_of_self_power
 from .polypower import (
@@ -53,7 +51,7 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.fullmatch(cleaned)
     if m is None:
         for i, ch in enumerate(cleaned):
-            if not (ch.isdigit() or ch in "+-/"):
+            if not (ch.isdecimal() or ch in "+-/"):
                 raise ParseError(f"not a rational: {text!r}", position=i)
         raise ParseError(f"not a rational: {text!r}", position=len(cleaned))
     if "/" in cleaned:
@@ -320,11 +318,11 @@ def format_polynomial(poly: IntPolynomial) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_alpha(text: str, config: Config) -> AlgebraicTarget:
+def _parse_alpha(text: str) -> AlgebraicTarget:
     cleaned = _normalize_minus(text).strip()
     if _RATIONAL_RE.fullmatch(cleaned):
         return AlgebraicTarget.from_rational(parse_rational(cleaned))
-    return AlgebraicTarget.from_polynomial(parse_polynomial(cleaned), config)
+    return AlgebraicTarget.from_polynomial(parse_polynomial(cleaned))
 
 
 def _describe_target(target: AlgebraicTarget) -> str:
@@ -333,9 +331,9 @@ def _describe_target(target: AlgebraicTarget) -> str:
     return f"positive root of {format_polynomial(target.root.as_polynomial())}"
 
 
-def _cmd_solve(args, config: Config):
-    target = _parse_alpha(args.alpha, config)
-    result = solve(target, config, cross_check=args.verify_both)
+def _cmd_solve(args):
+    target = _parse_alpha(args.alpha)
+    result = solve(target, cross_check=args.verify_both)
     rendered = [format_fraction(x) for x in result.solutions]
     payload = {
         "alpha": _describe_target(target),
@@ -357,11 +355,11 @@ def _cmd_solve(args, config: Config):
     return payload, human
 
 
-def _cmd_minpoly(args, config: Config):
+def _cmd_minpoly(args):
     q = parse_rational(args.fraction)
     if q <= 0:
         raise DomainError(f"need a positive rational, got {format_fraction(q)}")
-    binomial = minimal_polynomial_of_self_power(q.numerator, q.denominator, config)
+    binomial = minimal_polynomial_of_self_power(q.numerator, q.denominator)
     payload = {"d": binomial.d, "r": binomial.r, "s": binomial.s}
     human = (
         f"minimal polynomial of ({format_fraction(q)})^({format_fraction(q)}): "
@@ -370,12 +368,12 @@ def _cmd_minpoly(args, config: Config):
     return payload, human
 
 
-def _cmd_powcheck(args, config: Config):
+def _cmd_powcheck(args):
     poly = parse_polynomial(args.poly)
     x = parse_rational(args.x)
     if x <= 0:
         raise ParseError(f"x must be positive, got {format_fraction(x)}")
-    verdict = analyze_poly_power(poly, x, config)
+    verdict = analyze_poly_power(poly, x)
     value = None if verdict.rational is None else format_fraction(verdict.rational)
     payload = {"exponent": format_fraction(verdict.exponent), "rational": value}
     base = f"({format_fraction(x)})^({format_fraction(verdict.exponent)})"
@@ -383,11 +381,11 @@ def _cmd_powcheck(args, config: Config):
     return payload, human
 
 
-def _cmd_powsearch(args, config: Config):
+def _cmd_powsearch(args):
     poly = parse_polynomial(args.poly)
     if args.a_max < 1:
         raise DomainError("--a-max must be >= 1")
-    hits = enumerate_rational_powers(poly, args.a_max, args.b_max, config)
+    hits = enumerate_rational_powers(poly, args.a_max, args.b_max)
     payload = {
         "a_max": args.a_max,
         "bound": leading_denominator_bound(poly.leading_coefficient),
@@ -405,7 +403,7 @@ def _cmd_powsearch(args, config: Config):
     return payload, "\n".join(lines)
 
 
-def _cmd_bound(args, config: Config):
+def _cmd_bound(args):
     if args.degree is not None:
         if args.degree < 1:
             raise DomainError("--degree must be >= 1")
@@ -441,9 +439,14 @@ def _certificate_payload(cert: Certificate) -> dict:
     }
 
 
-def _cmd_classify(args, config: Config):
+def _cmd_classify(args):
+    width = DEFAULT_WIDTH
+    if args.width is not None:
+        width = parse_rational(args.width)
+        if width <= 0:
+            raise DomainError("--width must be positive")
     q = parse_rational(args.q)
-    result = classify_preimage(q, width=config.bisect_width, config=config)
+    result = classify_preimage(q, width)
     if isinstance(result, int):
         payload = {"integer": result, "q": format_fraction(q)}
         human = f"x^x = {format_fraction(q)} has the integer solution x = {result}"
@@ -457,15 +460,15 @@ def _cmd_classify(args, config: Config):
     return payload, human
 
 
-def _cmd_pairs(args, config: Config):
+def _cmd_pairs(args):
     if args.m < 1:
         raise DomainError("--m must be >= 1")
     if args.commuting:
-        x, y = commuting_pair(args.m, config)
+        x, y = commuting_pair(args.m)
         verified = verify_commuting(x, y)
         relation = "x^y = y^x"
     else:
-        x, y = equal_self_power_pair(args.m, config)
+        x, y = equal_self_power_pair(args.m)
         verified = verify_equal_self_powers(x, y)
         relation = "x^x = y^y"
     payload = {
@@ -482,7 +485,7 @@ def _cmd_pairs(args, config: Config):
     return payload, human
 
 
-def _cmd_decompose(args, config: Config):
+def _cmd_decompose(args):
     lam = lambda_decompose(args.x, args.y, args.a, args.b)
     payload = {"lambda": lam}
     human = (
@@ -515,17 +518,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument(
-        "--factor-budget",
-        type=int,
-        help="factorization effort budget (env XX_FACTOR_BUDGET)",
-    )
-    common.add_argument(
-        "--bit-cap", type=int, help="bit-size cap for huge values (env XX_BIT_CAP)"
-    )
-    common.add_argument(
-        "--seed", type=int, help="seed for randomised factorization (env XX_SEED)"
-    )
 
     parser = _Parser(
         prog="selfpower",
@@ -602,23 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args) -> Config:
-    config = Config.from_env()
-    overrides = {}
-    if args.factor_budget is not None:
-        overrides["factor_budget"] = args.factor_budget
-    if args.bit_cap is not None:
-        overrides["bit_cap"] = args.bit_cap
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "width", None) is not None:
-        width = parse_rational(args.width)
-        if width <= 0:
-            raise DomainError("--width must be positive")
-        overrides["bisect_width"] = width
-    return replace(config, **overrides) if overrides else config
-
-
 def _fail(exc: Exception, kind: str, code: int) -> "SystemExit":
     print(json.dumps({"error": str(exc), "kind": kind}, sort_keys=True), file=sys.stderr)
     return SystemExit(code)
@@ -627,8 +602,7 @@ def _fail(exc: Exception, kind: str, code: int) -> "SystemExit":
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _build_config(args)
-        payload, human = _COMMANDS[args.command](args, config)
+        payload, human = _COMMANDS[args.command](args)
     except ParseError as exc:
         raise _fail(exc, "parse", 2) from exc
     except ResourceError as exc:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Factorization, factorize, integer_kth_root
-from .config import DEFAULT_CONFIG, Config
+from .arith import BIT_CAP, Factorization, factorize, integer_kth_root
 from .errors import DomainError, ResourceError, number_text
 
 
@@ -79,18 +78,24 @@ class BinomialMinPoly:
         return Fraction(self.r, self.s) if self.d == 1 else None
 
 
-def _exponent_gcd(b: int, fa: Factorization, fb: Factorization) -> int:
+def _exponent_gcd(a: int, b: int) -> tuple[Factorization, Factorization, int]:
+    """(fa, fb, g) for coprime a, b >= 1: the prime factorizations of a and b,
+    and g = gcd(b, every prime exponent of a and of b)."""
+    if a < 1 or b < 1:
+        raise DomainError("need a, b >= 1")
+    if gcd(a, b) != 1:
+        raise DomainError(
+            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
+        )
+    fa = factorize(a)
+    fb = factorize(b)
     g = b
-    for _, e in fa:
+    for _, e in fa + fb:
         g = gcd(g, e)
-    for _, e in fb:
-        g = gcd(g, e)
-    return g
+    return fa, fb, g
 
 
-def minimal_polynomial_of_self_power(
-    a: int, b: int, config: Config = DEFAULT_CONFIG
-) -> BinomialMinPoly:
+def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     """Minimal polynomial of (a/b)^(a/b) over the integers, for coprime a, b >= 1.
 
     With g = gcd(b, all prime exponents of a and of b), the result is
@@ -98,19 +103,15 @@ def minimal_polynomial_of_self_power(
     through the prime factorizations: g divides every prime exponent, so each
     resulting exponent e//g * a is an integer.
     """
-    if a < 1 or b < 1:
-        raise DomainError("need a, b >= 1")
-    if gcd(a, b) != 1:
-        raise DomainError(
-            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
-        )
-    fa = factorize(a, config)
-    fb = factorize(b, config)
-    g = _exponent_gcd(b, fa, fb)
+    fa, fb, g = _exponent_gcd(a, b)
     est_bits = (a // g + 1) * (b.bit_length() + a.bit_length())
-    if est_bits > config.bit_cap:
+    if est_bits > BIT_CAP:
         ab = f"{number_text(a)}/{number_text(b)}"
-        raise ResourceError(f"minimal polynomial of ({ab})^({ab}) exceeds bit cap")
+        raise ResourceError(
+            f"minimal polynomial of ({ab})^({ab}) needs about "
+            f"{number_text(est_bits)} bits, past the bit cap of "
+            f"{number_text(BIT_CAP)} bits"
+        )
     s = r = 1
     for q, e in fb:
         s *= q ** (e // g * a)
@@ -119,17 +120,9 @@ def minimal_polynomial_of_self_power(
     return BinomialMinPoly(s=s, d=b // g, r=r)
 
 
-def degree_of_self_power(a: int, b: int, config: Config = DEFAULT_CONFIG) -> int:
+def degree_of_self_power(a: int, b: int) -> int:
     """Degree of (a/b)^(a/b) as an algebraic number: b/g."""
-    if a < 1 or b < 1:
-        raise DomainError("need a, b >= 1")
-    if gcd(a, b) != 1:
-        raise DomainError(
-            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
-        )
-    fa = factorize(a, config)
-    fb = factorize(b, config)
-    return b // _exponent_gcd(b, fa, fb)
+    return b // _exponent_gcd(a, b)[2]
 
 
 def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:
@@ -156,9 +149,7 @@ def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:
     return BinomialMinPoly(s=coeffs[-1], d=len(coeffs) - 1, r=-coeffs[0])
 
 
-def is_irreducible_binomial(
-    binomial: BinomialMinPoly, config: Config = DEFAULT_CONFIG
-) -> bool:
+def is_irreducible_binomial(binomial: BinomialMinPoly) -> bool:
     """Irreducibility of s*x^d - r over the rationals.
 
     The classical criterion for x^d - c: reducible exactly when c is a p-th
@@ -166,7 +157,7 @@ def is_irreducible_binomial(
     c = r/s > 0, so the second case cannot arise, and c is a p-th power
     exactly when both r and s are.
     """
-    for p, _ in factorize(binomial.d, config):
+    for p, _ in factorize(binomial.d):
         if (
             integer_kth_root(binomial.r, p) is not None
             and integer_kth_root(binomial.s, p) is not None

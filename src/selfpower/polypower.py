@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import integer_kth_root, log2_interval
-from .config import DEFAULT_CONFIG, Config
+from .arith import BIT_CAP, integer_kth_root, log2_interval
 from .errors import DomainError, ResourceError, number_text
 from .minpoly import IntPolynomial
 
@@ -39,9 +38,7 @@ def eval_polynomial(poly: IntPolynomial, x: Fraction) -> Fraction:
     return acc
 
 
-def rational_power(
-    base: Fraction, exponent: Fraction, config: Config = DEFAULT_CONFIG
-) -> Fraction | None:
+def rational_power(base: Fraction, exponent: Fraction) -> Fraction | None:
     """base**exponent when that value is rational, None otherwise.
 
     base = u/v must be positive and reduced; for exponent p/q in lowest terms
@@ -61,25 +58,23 @@ def rational_power(
     if root_v is None:
         return None
     bits = abs(p) * max(root_u.bit_length(), root_v.bit_length())
-    if bits > config.bit_cap:
+    if bits > BIT_CAP:
         raise ResourceError(
-            f"{number_text(base)}**{number_text(exponent)} exceeds the bit cap"
+            f"{number_text(base)}**{number_text(exponent)} needs about "
+            f"{number_text(bits)} bits, past the bit cap of "
+            f"{number_text(BIT_CAP)} bits"
         )
     return Fraction(root_u, root_v) ** p
 
 
-def analyze_poly_power(
-    poly: IntPolynomial, x: Fraction, config: Config = DEFAULT_CONFIG
-) -> RationalityVerdict:
+def analyze_poly_power(poly: IntPolynomial, x: Fraction) -> RationalityVerdict:
     """Exact rationality verdict for x^P(x); requires x > 0 and deg P >= 1."""
     if poly.degree < 1:
         raise DomainError("polynomial must be non-constant")
     if x <= 0:
         raise DomainError(f"x must be positive, got {number_text(x)}")
     exponent = eval_polynomial(poly, x)
-    return RationalityVerdict(
-        exponent=exponent, rational=rational_power(x, exponent, config)
-    )
+    return RationalityVerdict(exponent=exponent, rational=rational_power(x, exponent))
 
 
 def leading_denominator_bound(leading: int) -> int:
@@ -114,7 +109,6 @@ def enumerate_rational_powers(
     poly: IntPolynomial,
     a_max: int,
     b_max: int | None = None,
-    config: Config = DEFAULT_CONFIG,
 ) -> list[tuple[Fraction, Fraction]]:
     """All (x, x^P(x)) with rational value, x = a/b reduced, 1 <= a <= a_max
     and 2 <= b <= leading_denominator_bound.
@@ -134,7 +128,7 @@ def enumerate_rational_powers(
         for a in range(1, a_max + 1):
             if gcd(a, b) != 1:
                 continue
-            verdict = analyze_poly_power(poly, Fraction(a, b), config)
+            verdict = analyze_poly_power(poly, Fraction(a, b))
             if verdict.rational is not None:
                 if b > bound:
                     raise AssertionError(

@@ -21,6 +21,7 @@ from functools import cache
 from math import gcd, isqrt
 
 from .arith import (
+    BIT_CAP,
     Ordering,
     compare_self_power_to_root,
     factorize,
@@ -28,7 +29,6 @@ from .arith import (
     floor_of_multiple_ln,
     powers_equal,
 )
-from .config import DEFAULT_CONFIG, Config
 from .errors import (
     DECIMAL_TEXT_BITS,
     DomainError,
@@ -69,10 +69,8 @@ class AlgebraicTarget:
         return cls(value=Fraction(q))
 
     @classmethod
-    def from_binomial(
-        cls, binomial: BinomialMinPoly, config: Config = DEFAULT_CONFIG
-    ) -> "AlgebraicTarget":
-        if not is_irreducible_binomial(binomial, config):
+    def from_binomial(cls, binomial: BinomialMinPoly) -> "AlgebraicTarget":
+        if not is_irreducible_binomial(binomial):
             raise TargetShapeError(
                 f"{_describe_binomial(binomial)} is reducible over the rationals"
             )
@@ -81,9 +79,7 @@ class AlgebraicTarget:
         return cls(root=binomial)
 
     @classmethod
-    def from_polynomial(
-        cls, poly: IntPolynomial, config: Config = DEFAULT_CONFIG
-    ) -> "AlgebraicTarget":
+    def from_polynomial(cls, poly: IntPolynomial) -> "AlgebraicTarget":
         binomial = as_binomial(poly)
         if binomial is None:
             raise TargetShapeError(
@@ -91,7 +87,7 @@ class AlgebraicTarget:
                 "r, s >= 1; other polynomial shapes admit no rational solutions "
                 "of x^x = alpha and are rejected"
             )
-        return cls.from_binomial(binomial, config)
+        return cls.from_binomial(binomial)
 
     @property
     def degree(self) -> int:
@@ -137,9 +133,7 @@ class SolutionSet:
             raise AssertionError("solutions must be sorted and distinct")
 
 
-def integer_scan(
-    target: AlgebraicTarget, config: Config = DEFAULT_CONFIG
-) -> tuple[int | None, int]:
+def integer_scan(target: AlgebraicTarget) -> tuple[int | None, int]:
     """Scan n = 1, 2, ... until n^n >= alpha, each step an exact comparison.
 
     Returns (n, N) when n^n = alpha exactly, else (None, N), with N the number
@@ -148,7 +142,7 @@ def integer_scan(
     d, r, s = target.root_triple()
     n = 1
     while True:
-        c = compare_self_power_to_root(Fraction(n), d, r, s, config)
+        c = compare_self_power_to_root(Fraction(n), d, r, s)
         if c is Ordering.EQUAL:
             found, count = n, n
             break
@@ -182,15 +176,13 @@ def denominator_bound(d: int) -> int:
     return floor_of_multiple_ln(4 * d, d)
 
 
-def solve_enumerative(
-    target: AlgebraicTarget, config: Config = DEFAULT_CONFIG
-) -> SolutionSet:
+def solve_enumerative(target: AlgebraicTarget) -> SolutionSet:
     """All solutions by exhaustive exact testing.
 
     Integer scan first; when alpha has degree d > 1, every reduced a/b with
     2 <= b <= denominator_bound(d) and 1 <= a <= N*b is tested exactly.
     """
-    found, count = integer_scan(target, config)
+    found, count = integer_scan(target)
     solutions = [] if found is None else [Fraction(found)]
     d, r, s = target.root_triple()
     if d > 1:
@@ -199,7 +191,7 @@ def solve_enumerative(
         count += tested
         for a, b in hits:
             x = Fraction(a, b)
-            if compare_self_power_to_root(x, d, r, s, config) is not Ordering.EQUAL:
+            if compare_self_power_to_root(x, d, r, s) is not Ordering.EQUAL:
                 raise AssertionError(f"scan hit {x} fails the exact recheck")
             solutions.append(x)
     return SolutionSet(tuple(sorted(solutions)), count)
@@ -264,9 +256,7 @@ def _totient_sum(n: int) -> int:
     return phi_sum(n)
 
 
-def solve_by_divisors(
-    binomial: BinomialMinPoly, config: Config = DEFAULT_CONFIG
-) -> SolutionSet:
+def solve_by_divisors(binomial: BinomialMinPoly) -> SolutionSet:
     """All solutions of x^x = (r/s)^(1/d), working backwards from s*x^d - r.
 
     A solution a/b forces a common base lam | s with lam^a = s and b^d = lam^b.
@@ -280,17 +270,17 @@ def solve_by_divisors(
     scan_count is the number of candidates covered: the divisors lam > 1 of s,
     plus every 2 <= b <= bound for each of the tau(k) exponents a.
     """
-    if not is_irreducible_binomial(binomial, config):
+    if not is_irreducible_binomial(binomial):
         raise DomainError("solve_by_divisors requires an irreducible binomial")
     s, d, r = binomial.s, binomial.d, binomial.r
     if s == 1:
         if d == 1:
             # alpha = r is a positive integer; only integer solutions exist
-            return solve_enumerative(AlgebraicTarget.from_rational(r), config)
+            return solve_enumerative(AlgebraicTarget.from_rational(r))
         # alpha is an algebraic integer of degree >= 2: solutions would be
         # integers, whose self-powers have degree 1
         return SolutionSet((), 0)
-    s_factors = factorize(s, config)
+    s_factors = factorize(s)
     k = 0
     n_divisors = 1
     for _, e in s_factors:
@@ -309,7 +299,7 @@ def solve_by_divisors(
             if (
                 j * d == m * b
                 and gcd(a, b) == 1
-                and minimal_polynomial_of_self_power(a, b, config) == binomial
+                and minimal_polynomial_of_self_power(a, b) == binomial
             ):
                 found.append(Fraction(a, b))
             b *= base
@@ -324,18 +314,14 @@ def _divisors(n: int) -> list[int]:
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
-def solve(
-    target: AlgebraicTarget,
-    config: Config = DEFAULT_CONFIG,
-    cross_check: bool = False,
-) -> SolutionSet:
+def solve(target: AlgebraicTarget, cross_check: bool = False) -> SolutionSet:
     """Solve x^x = alpha: divisor procedure when the binomial is available,
     enumeration otherwise; cross_check runs both and insists they agree."""
     if target.is_rational:
-        return solve_enumerative(target, config)
-    result = solve_by_divisors(target.root, config)
+        return solve_enumerative(target)
+    result = solve_by_divisors(target.root)
     if cross_check:
-        other = solve_enumerative(target, config)
+        other = solve_enumerative(target)
         if other.solutions != result.solutions:
             raise AssertionError(
                 f"solution procedures disagree: divisors {result.solutions} "
@@ -349,23 +335,24 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def equal_self_power_pair(
-    m: int, config: Config = DEFAULT_CONFIG
-) -> tuple[Fraction, Fraction]:
+def equal_self_power_pair(m: int) -> tuple[Fraction, Fraction]:
     """The m-th pair x = (m/(m+1))^m, y = (m/(m+1))^(m+1) with x^x = y^y."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    if (m + 1) * (m + 1).bit_length() > config.bit_cap:
-        raise ResourceError(f"pair components for m = {m} exceed the bit cap")
+    bits = (m + 1) * (m + 1).bit_length()
+    if bits > BIT_CAP:
+        raise ResourceError(
+            f"pair components for m = {number_text(m)} need about "
+            f"{number_text(bits)} bits, past the bit cap of "
+            f"{number_text(BIT_CAP)} bits"
+        )
     base = Fraction(m, m + 1)
     return base**m, base ** (m + 1)
 
 
-def commuting_pair(
-    m: int, config: Config = DEFAULT_CONFIG
-) -> tuple[Fraction, Fraction]:
+def commuting_pair(m: int) -> tuple[Fraction, Fraction]:
     """The m-th pair with x^y = y^x: the reciprocals of equal_self_power_pair."""
-    x, y = equal_self_power_pair(m, config)
+    x, y = equal_self_power_pair(m)
     return 1 / x, 1 / y
 
 

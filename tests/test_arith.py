@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from selfpower import arith
 from selfpower import (
-    Config,
     DomainError,
     Ordering,
     PreconditionError,
@@ -82,7 +81,7 @@ def reference_as_perfect_power(n):
     return n, 1
 
 
-def reference_factorize(n, config=Config()):
+def reference_factorize(n):
     """factorize over the eager sieve: trial division, then is_prime, the
     perfect-power search over every prime up to bit_length(n), and rho."""
     found = {}
@@ -96,8 +95,8 @@ def reference_factorize(n, config=Config()):
         if n <= 10**12 or is_prime(n):
             found[n] = found.get(n, 0) + 1
         else:
-            rng = random.Random(config.seed)
-            budget = [config.factor_budget]
+            rng = random.Random(0x5E1F)
+            budget = [500_000]
             stack = [(n, 1)]
             while stack:
                 m, mult = stack.pop()
@@ -167,12 +166,17 @@ class TestFactorize:
         assert factorize(p * q) == ((p, 1), (q, 1))
 
     def test_budget_exhaustion(self):
-        # two 120-bit primes; a budget this small cannot split the product
+        # two 120-bit primes; the rho budget cannot split the product, and
+        # the refusal names the budget and the cofactor it ran out on
         p = 1_225_940_852_714_443_485_428_456_866_477_129_349
         q = 947_243_141_625_855_928_478_791_872_949_100_783
         assert is_prime(p) and is_prime(q)
-        with pytest.raises(ResourceError):
-            factorize(p * q, Config(factor_budget=50))
+        with pytest.raises(ResourceError) as exc:
+            factorize(p * q)
+        assert str(exc.value) == (
+            "factorization budget of 500000 rho iterations exhausted on a "
+            f"{(p * q).bit_length()}-bit cofactor {p * q}"
+        )
 
     def test_huge_prime_power_is_fast(self):
         # trial division walks all 78,498 primes over a 59,795-bit n; the
@@ -263,7 +267,7 @@ class TestGrownTrialPrimes:
 
     def test_small_command_sieves_only_the_first_segment(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {k: v for k, v in os.environ.items() if not k.startswith("XX_")}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import contextlib, io\n"
@@ -489,15 +493,18 @@ class TestSelfPowerComparators:
             Ordering.GREATER,
         )
 
-    def test_log_path_matches_direct(self):
+    def test_log_path_matches_direct(self, monkeypatch):
         rng = random.Random(5)
-        tiny = Config(bit_cap=1)
-        for _ in range(300):
-            t = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-            q = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-            assert compare_self_power_to_rational(
-                t, q, tiny
-            ) is compare_self_power_to_rational(t, q)
+        cases = [
+            (
+                Fraction(rng.randint(1, 40), rng.randint(1, 40)),
+                Fraction(rng.randint(1, 40), rng.randint(1, 40)),
+            )
+            for _ in range(300)
+        ]
+        direct = [compare_self_power_to_rational(t, q) for t, q in cases]
+        monkeypatch.setattr(arith, "BIT_CAP", 1)
+        assert [compare_self_power_to_rational(t, q) for t, q in cases] == direct
 
 
 class TestComparePowerProducts:
@@ -508,6 +515,16 @@ class TestComparePowerProducts:
     def test_rejects_bad_entries(self):
         with pytest.raises(DomainError):
             compare_power_products([(0, 1)], [(2, 1)])
+
+    def test_equal_products_on_the_log_path_name_the_precision_cap(self, monkeypatch):
+        # 2^2 = 4^1: equal enclosures at every precision up to the cap
+        monkeypatch.setattr(arith, "BIT_CAP", 1)
+        with pytest.raises(ResourceError) as exc:
+            compare_power_products([(2, 2)], [(4, 1)])
+        assert str(exc.value) == (
+            "comparison unresolved at the log2 precision cap of 65536 bits; "
+            "operands may be equal"
+        )
 
     @given(
         st.lists(st.tuples(st.integers(1, 20), st.integers(0, 10)), max_size=3),

@@ -6,9 +6,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import selfpower.certify as certify
 from selfpower import (
     Certificate,
-    Config,
     DomainError,
     Ordering,
     ResourceError,
@@ -127,9 +127,39 @@ class TestBisect:
             assert lo.denominator.bit_length() <= k + 2  # dyadic midpoints
 
     def test_iteration_cap(self):
-        config = Config(max_bisect_steps=3)
+        # the bracket [1, 2] needs 10001 halvings to reach 2^-10001
+        with pytest.raises(ResourceError) as exc:
+            bisect_preimage(Fraction(2), Fraction(1, 2**10001))
+        assert str(exc.value) == (
+            "bisection to width 1/<10002-bit integer> needs 10001 halvings, "
+            "past the cap of 10000 halvings"
+        )
+
+    def test_cap_refused_before_any_halving(self, monkeypatch):
+        compared = []
+        real = certify.compare_self_power_to_rational
+
+        def recording(x, q):
+            compared.append(x)
+            return real(x, q)
+
+        monkeypatch.setattr(certify, "compare_self_power_to_rational", recording)
         with pytest.raises(ResourceError):
-            bisect_preimage(Fraction(2), Fraction(1, 2**30), config)
+            bisect_preimage(2, Fraction(1, 2**10001))
+        assert [x for x in compared if x.denominator > 1] == []
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(10, 3), Fraction(30)])
+    def test_fewest_halvings(self, q):
+        # the halvings counted up front stop at the first bracket within width
+        rng = random.Random(17)
+        widths = [Fraction(1, 2**k) for k in (0, 1, 5, 20)] + [
+            Fraction(rng.randint(1, 1000), rng.randint(1, 10**6)) for _ in range(40)
+        ]
+        for width in widths:
+            lo, hi = bisect_preimage(q, width)
+            start = max(2, -(-q.numerator // q.denominator)) - 1
+            assert hi - lo <= width
+            assert hi - lo == start or 2 * (hi - lo) > width
 
 
 class TestCertificateType:

@@ -1,4 +1,4 @@
-"""CLI tests: parsing, golden outputs, exit codes, configuration plumbing."""
+"""CLI tests: parsing, golden outputs, exit codes, flags."""
 
 import json
 import os
@@ -46,6 +46,12 @@ class TestParseRational:
         with pytest.raises(ParseError) as exc:
             parse_rational("1/0")
         assert exc.value.position == 2
+
+    def test_non_ascii_digit_position(self):
+        # '²' is a digit to str.isdigit but no decimal digit
+        with pytest.raises(ParseError) as exc:
+            parse_rational("1²/3")
+        assert exc.value.position == 1
 
     def test_garbage(self):
         with pytest.raises(ParseError):
@@ -328,6 +334,13 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "parse"
         _, err = run_cli(capsys, ["nonsense"], expect_exit=2)
         assert json.loads(err)["kind"] == "parse"
+        # the rho budget, bit cap and seed are fixed: their flags are gone
+        for flag in ("--factor-budget", "--bit-cap", "--seed"):
+            _, err = run_cli(capsys, ["minpoly", "8/27", flag, "50"], expect_exit=2)
+            assert json.loads(err) == {
+                "error": f"unrecognized arguments: {flag} 50",
+                "kind": "parse",
+            }
 
 
 # inputs from the ROADMAP's baseline table that used to hang or crawl, and
@@ -352,6 +365,9 @@ _ADVERSARIAL = [
         ["classify", "--q", "2", "--width", f"1/{_LONG}"], 30, id="long-width"
     ),
     pytest.param(
+        ["classify", "--q", "2", "--width", "1/1" + "0" * 3100], 10, id="classify-1e-3100"
+    ),
+    pytest.param(
         ["solve", "--alpha", "99999999999^65536*x^2 - 1"], 30, id="huge-reducible"
     ),
     pytest.param(
@@ -370,7 +386,7 @@ class TestAdversarialInputs:
     @pytest.mark.parametrize("argv, limit", _ADVERSARIAL)
     def test_finishes_or_fails_typed(self, argv, limit):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {k: v for k, v in os.environ.items() if not k.startswith("XX_")}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "selfpower.cli", *argv, "--json"],
@@ -387,24 +403,12 @@ class TestAdversarialInputs:
 
 
 class TestConfiguration:
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("XX_BIT_CAP", "64")
-        _, err = run_cli(capsys, ["pairs", "--m", "100"], expect_exit=4)
-        assert json.loads(err)["kind"] == "resource"
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("XX_BIT_CAP", "64")
-        out, _ = run_cli(capsys, ["pairs", "--m", "100", "--bit-cap", "1048576"])
-        assert "verified" in out
-
     def test_factor_budget_flag(self, capsys):
-        # a 240-bit semiprime cannot be split within a 50-step budget
+        # the fixed rho budget cannot split a 240-bit semiprime
         p = 1_225_940_852_714_443_485_428_456_866_477_129_349
         q = 947_243_141_625_855_928_478_791_872_949_100_783
         _, err = run_cli(
-            capsys,
-            ["solve", "--alpha", f"[-3, 0, {p * q}]", "--factor-budget", "50"],
-            expect_exit=4,
+            capsys, ["solve", "--alpha", f"[-3, 0, {p * q}]"], expect_exit=4
         )
         assert json.loads(err)["kind"] == "resource"
 

@@ -10,7 +10,6 @@ import selfpower.arith as arith
 import selfpower.certify as certify
 import selfpower.solver as solver
 from selfpower import (
-    DEFAULT_CONFIG,
     AlgebraicTarget,
     Ordering,
     bisect_preimage,
@@ -47,7 +46,7 @@ def test_scan_hit_recheck_raises(monkeypatch):
 )
 def test_integer_scan_bound_raises(monkeypatch, scan):
     # the certificate scan is the solver's integer scan, bound check included
-    def lying(x, d, r, s, config):
+    def lying(x, d, r, s):
         return Ordering.LESS if x < 10 else Ordering.GREATER
 
     monkeypatch.setattr(solver, "compare_self_power_to_root", lying)
@@ -60,14 +59,14 @@ def test_bisection_bracket_raises(monkeypatch):
         certify, "compare_self_power_to_rational", lambda *args: Ordering.EQUAL
     )
     with pytest.raises(AssertionError, match="does not bracket"):
-        certify._bisect(Fraction(2), Fraction(1, 100), DEFAULT_CONFIG)
+        certify._bisect(Fraction(2), Fraction(1, 100))
 
 
 def test_bisection_equality_raises(monkeypatch):
     real = certify.compare_self_power_to_rational
 
-    def lying(x, q, config):
-        return real(x, q, config) if x.denominator == 1 else Ordering.EQUAL
+    def lying(x, q):
+        return real(x, q) if x.denominator == 1 else Ordering.EQUAL
 
     monkeypatch.setattr(certify, "compare_self_power_to_rational", lying)
     with pytest.raises(AssertionError, match="contradicts the integer scan"):

@@ -12,6 +12,7 @@ from selfpower import (
     DomainError,
     IntPolynomial,
     Ordering,
+    ResourceError,
     as_binomial,
     compare_self_power_to_root,
     degree_of_self_power,
@@ -40,6 +41,14 @@ class TestMinimalPolynomial:
     def test_requires_coprime(self):
         with pytest.raises(DomainError):
             minimal_polynomial_of_self_power(2, 4)
+
+    def test_bit_cap_refusal_names_the_cap(self):
+        with pytest.raises(ResourceError) as exc:
+            minimal_polynomial_of_self_power(1_000_001, 1000)
+        assert str(exc.value) == (
+            "minimal polynomial of (1000001/1000)^(1000001/1000) needs about "
+            "30000060 bits, past the bit cap of 1048576 bits"
+        )
 
     def test_root_check_numeric_oracle(self):
         mp.mp.dps = 50

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from selfpower import (
     DomainError,
     IntPolynomial,
+    ResourceError,
     analyze_poly_power,
     enumerate_rational_powers,
     eval_polynomial,
@@ -55,6 +56,13 @@ class TestRationalPower:
     def test_rejects_nonpositive_base(self):
         with pytest.raises(DomainError):
             rational_power(Fraction(-4, 9), Fraction(1, 2))
+
+    def test_bit_cap_refusal_names_the_cap(self):
+        with pytest.raises(ResourceError) as exc:
+            rational_power(Fraction(2), Fraction(2**21))
+        assert str(exc.value) == (
+            "2**2097152 needs about 4194304 bits, past the bit cap of 1048576 bits"
+        )
 
     @given(
         st.integers(1, 30),

@@ -359,8 +359,12 @@ class TestFamilies:
             assert sols == tuple(sorted((x, y)))
 
     def test_resource_cap(self):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as exc:
             equal_self_power_pair(10**7)
+        assert str(exc.value) == (
+            "pair components for m = 10000000 need about 240000024 bits, past "
+            "the bit cap of 1048576 bits"
+        )
 
     def test_rejects_m_zero(self):
         with pytest.raises(DomainError):
