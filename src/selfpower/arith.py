@@ -238,14 +238,22 @@ def _may_be_power(n: int, p: int) -> bool:
     return True
 
 
-def _as_perfect_power(n: int) -> tuple[int, int]:
-    """Largest k with root**k == n; returns (root, k), k = 1 when n is not a power.
+def _as_perfect_power(n: int, m: int) -> tuple[int, int]:
+    """Largest k with root**k == n, for n >= 2; returns (root, k), k = 1 when
+    n is no perfect power.
 
-    Requires n > 1 without prime factors <= 1e6, as trial division leaves it:
-    then root > 1e6 >= 2^19, so only the prime exponents p < bit_length(n)/19
-    can occur.
+    m is a lower bound the caller knows on every root: root >= 2^m, so
+    n >= 2^(m*p) and only the prime exponents p <= (bit_length(n) - 1) / m
+    can occur.  m = 1 holds for every n; a cofactor that trial division
+    leaves has roots above 1e6 > 2^19, so factorize passes 19.  Exponents run
+    through the trial primes, so n past 1e6 * m bits is refused.
     """
-    max_exponent = (n.bit_length() - 1) // (_TRIAL_LIMIT.bit_length() - 1)
+    max_exponent = (n.bit_length() - 1) // m
+    if max_exponent > _TRIAL_LIMIT:
+        raise ResourceError(
+            f"perfect-power test refused: a {n.bit_length()}-bit integer may "
+            f"have prime exponents up to {max_exponent}, past {_TRIAL_LIMIT}"
+        )
     _sieve_through(max_exponent)
     for p in _trial_primes:
         if p > max_exponent:
@@ -253,7 +261,7 @@ def _as_perfect_power(n: int) -> tuple[int, int]:
         if _may_be_power(n, p):
             root = integer_kth_root(n, p)
             if root is not None:
-                base, k = _as_perfect_power(root)
+                base, k = _as_perfect_power(root, m)
                 return base, k * p
     return n, 1
 
@@ -278,7 +286,7 @@ def factorize(n: int) -> Factorization:
         stack = [(n, 1)]
         while stack:
             m, mult = stack.pop()
-            base, k = _as_perfect_power(m)
+            base, k = _as_perfect_power(m, _TRIAL_LIMIT.bit_length() - 1)
             if k > 1:
                 stack.append((base, mult * k))
                 continue

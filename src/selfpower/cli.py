@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .certify import DEFAULT_WIDTH, Certificate, classify_preimage
 from .errors import DomainError, ParseError, ResourceError, number_text
-from .minpoly import IntPolynomial, minimal_polynomial_of_self_power
+from .minpoly import BinomialMinPoly, IntPolynomial, minimal_polynomial_of_self_power
 from .polypower import (
     analyze_poly_power,
     enumerate_rational_powers,
@@ -313,6 +313,15 @@ def format_polynomial(poly: IntPolynomial) -> str:
     return " ".join(parts)
 
 
+@_all_digits()
+def _format_binomial(binomial: BinomialMinPoly) -> str:
+    """format_polynomial of s*x^d - r without forming its d + 1 coefficients,
+    so a degree like 2^128 + 1 renders too."""
+    xpart = "x" if binomial.d == 1 else f"x^{binomial.d}"
+    lead = xpart if binomial.s == 1 else f"{binomial.s}*{xpart}"
+    return f"{lead} - {binomial.r}"
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -328,7 +337,7 @@ def _parse_alpha(text: str) -> AlgebraicTarget:
 def _describe_target(target: AlgebraicTarget) -> str:
     if target.is_rational:
         return format_fraction(target.value)
-    return f"positive root of {format_polynomial(target.root.as_polynomial())}"
+    return f"positive root of {_format_binomial(target.root)}"
 
 
 def _cmd_solve(args):
@@ -363,7 +372,7 @@ def _cmd_minpoly(args):
     payload = {"d": binomial.d, "r": binomial.r, "s": binomial.s}
     human = (
         f"minimal polynomial of ({format_fraction(q)})^({format_fraction(q)}): "
-        f"{format_polynomial(binomial.as_polynomial())}"
+        f"{_format_binomial(binomial)}"
     )
     return payload, human
 

@@ -2,9 +2,11 @@
 
 The minimal polynomial over the integers of (a/b)^(a/b), for coprime positive
 a and b, is always a binomial s*x^d - r; this module constructs it in closed
-form from the prime factorizations of a and b, recognises the binomial shape
-in a general integer polynomial, and decides irreducibility of positive
-binomials by the classical prime-power criterion.
+form from the perfect-power exponents of a and b (the largest k with
+n = root^k, the gcd of n's prime exponents, found without factoring n),
+recognises the binomial shape in a general integer polynomial, and decides
+irreducibility of positive binomials by the classical prime-power criterion,
+which factors only the degree d.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import BIT_CAP, Factorization, factorize, integer_kth_root
+from .arith import BIT_CAP, _as_perfect_power, factorize, integer_kth_root
 from .errors import DomainError, ResourceError, number_text
 
 
@@ -78,32 +80,31 @@ class BinomialMinPoly:
         return Fraction(self.r, self.s) if self.d == 1 else None
 
 
-def _exponent_gcd(a: int, b: int) -> tuple[Factorization, Factorization, int]:
-    """(fa, fb, g) for coprime a, b >= 1: the prime factorizations of a and b,
-    and g = gcd(b, every prime exponent of a and of b)."""
+def _exponent_gcd(a: int, b: int) -> int:
+    """g = gcd(b, k_a, k_b) for coprime a, b >= 1, where k_n is the largest k
+    with n a perfect k-th power; the input 1 contributes nothing."""
     if a < 1 or b < 1:
         raise DomainError("need a, b >= 1")
     if gcd(a, b) != 1:
         raise DomainError(
             f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
         )
-    fa = factorize(a)
-    fb = factorize(b)
     g = b
-    for _, e in fa + fb:
-        g = gcd(g, e)
-    return fa, fb, g
+    for n in (a, b):
+        if n > 1 and g > 1:
+            g = gcd(g, _as_perfect_power(n, 1)[1])
+    return g
 
 
 def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     """Minimal polynomial of (a/b)^(a/b) over the integers, for coprime a, b >= 1.
 
-    With g = gcd(b, all prime exponents of a and of b), the result is
-    s = b^(a/g), d = b/g, r = a^(a/g).  The fractional exponent a/g is applied
-    through the prime factorizations: g divides every prime exponent, so each
-    resulting exponent e//g * a is an integer.
+    With k_n the largest k for which n is a perfect k-th power (the gcd of
+    n's prime exponents) and g = gcd(b, k_a, k_b), the result is
+    s = (b^(1/g))^a, d = b/g, r = (a^(1/g))^a.  g divides k_a and k_b, so
+    both roots are integers; no prime factorization is needed.
     """
-    fa, fb, g = _exponent_gcd(a, b)
+    g = _exponent_gcd(a, b)
     est_bits = (a // g + 1) * (b.bit_length() + a.bit_length())
     if est_bits > BIT_CAP:
         ab = f"{number_text(a)}/{number_text(b)}"
@@ -112,17 +113,14 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
             f"{number_text(est_bits)} bits, past the bit cap of "
             f"{number_text(BIT_CAP)} bits"
         )
-    s = r = 1
-    for q, e in fb:
-        s *= q ** (e // g * a)
-    for p, e in fa:
-        r *= p ** (e // g * a)
+    s = integer_kth_root(b, g) ** a
+    r = integer_kth_root(a, g) ** a
     return BinomialMinPoly(s=s, d=b // g, r=r)
 
 
 def degree_of_self_power(a: int, b: int) -> int:
     """Degree of (a/b)^(a/b) as an algebraic number: b/g."""
-    return b // _exponent_gcd(a, b)[2]
+    return b // _exponent_gcd(a, b)
 
 
 def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:

@@ -105,6 +105,11 @@ def zero_exponent_denominator_bound(leading: int) -> int:
     return abs(leading)
 
 
+#: A sweep over more points x = a/b than this, counted as a_max * (b_hi - 1),
+#: is refused before any point is analyzed.
+_MAX_SWEEP_POINTS = 1 << 20
+
+
 def enumerate_rational_powers(
     poly: IntPolynomial,
     a_max: int,
@@ -115,7 +120,8 @@ def enumerate_rational_powers(
 
     b_max widens the sweep past the bound (useful to observe its soundness);
     a hit beyond the bound would falsify it and raises AssertionError.
-    Results are ordered by (b, a).
+    Results are ordered by (b, a).  A sweep of more than _MAX_SWEEP_POINTS
+    points raises ResourceError before it starts.
     """
     if a_max < 1:
         raise DomainError("a_max must be >= 1")
@@ -123,6 +129,13 @@ def enumerate_rational_powers(
         raise DomainError("polynomial must be non-constant")
     bound = leading_denominator_bound(poly.leading_coefficient)
     b_hi = bound if b_max is None else b_max
+    points = a_max * max(b_hi - 1, 0)
+    if points > _MAX_SWEEP_POINTS:
+        raise ResourceError(
+            f"sweep of a <= {number_text(a_max)}, 2 <= b <= {number_text(b_hi)} "
+            f"has {number_text(points)} points, past the cap of "
+            f"{number_text(_MAX_SWEEP_POINTS)} points"
+        )
     hits: list[tuple[Fraction, Fraction]] = []
     for b in range(2, b_hi + 1):
         for a in range(1, a_max + 1):

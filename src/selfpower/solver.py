@@ -30,7 +30,6 @@ from .arith import (
     powers_equal,
 )
 from .errors import (
-    DECIMAL_TEXT_BITS,
     DomainError,
     ResourceError,
     TargetShapeError,
@@ -72,7 +71,8 @@ class AlgebraicTarget:
     def from_binomial(cls, binomial: BinomialMinPoly) -> "AlgebraicTarget":
         if not is_irreducible_binomial(binomial):
             raise TargetShapeError(
-                f"{_describe_binomial(binomial)} is reducible over the rationals"
+                f"{number_text(binomial.s)}*x^{binomial.d} - "
+                f"{number_text(binomial.r)} is reducible over the rationals"
             )
         if binomial.d == 1:
             return cls(value=Fraction(binomial.r, binomial.s))
@@ -102,18 +102,6 @@ class AlgebraicTarget:
         if self.value is not None:
             return 1, self.value.numerator, self.value.denominator
         return self.root.d, self.root.r, self.root.s
-
-
-def _describe_binomial(binomial: BinomialMinPoly) -> str:
-    # decimal coefficients only while they are short: an error message must
-    # not run into the interpreter's int-to-str digit limit
-    s, d, r = binomial.s, binomial.d, binomial.r
-    if max(s, r).bit_length() <= DECIMAL_TEXT_BITS:
-        return f"{s}*x^{d} - {r}"
-    return (
-        f"s*x^{d} - r (s of bit length {s.bit_length()}, "
-        f"r of bit length {r.bit_length()})"
-    )
 
 
 @dataclass(frozen=True)

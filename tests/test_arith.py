@@ -198,6 +198,28 @@ class TestFactorize:
         # above 1e6 allows, 1215 // 19 = 63
         assert factorize(1_000_003**61) == ((1_000_003, 61),)
 
+    def test_perfect_power_exponent_is_the_exponent_gcd(self):
+        # m = 1 holds for every n >= 2: the result is (n^(1/k), k) with k the
+        # gcd of n's prime exponents
+        rng = random.Random(5)
+        inputs = list(range(2, 3000))
+        inputs += [rng.randrange(2, 100) ** rng.randrange(1, 60) for _ in range(300)]
+        inputs += [2**1000, 3**997, 6**360 * 5**120]
+        for n in inputs:
+            k = 0
+            for _, e in factorize(n):
+                k = gcd(k, e)
+            assert arith._as_perfect_power(n, 1) == (integer_kth_root(n, k), k), n
+
+    def test_perfect_power_exponents_stop_at_the_trial_primes(self):
+        # exponents up to 1000001 would need primes past the sieved 1e6
+        with pytest.raises(ResourceError) as exc:
+            arith._as_perfect_power(1 << 1_000_001, 1)
+        assert str(exc.value) == (
+            "perfect-power test refused: a 1000002-bit integer may have prime "
+            "exponents up to 1000001, past 1000000"
+        )
+
     def test_perfect_power_reduction_matches_reference(self):
         rng = random.Random(7)
         primes = [1_000_003, 1_000_033, 1_000_037, 15_485_863, 2**61 - 1]

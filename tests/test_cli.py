@@ -1,6 +1,7 @@
 """CLI tests: parsing, golden outputs, exit codes, flags."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfpower import IntPolynomial, ParseError
+from selfpower import BinomialMinPoly, IntPolynomial, ParseError
 from selfpower.cli import (
     _all_digits,
+    _format_binomial,
     format_fraction,
     format_polynomial,
     main,
@@ -379,27 +381,78 @@ _ADVERSARIAL = [
     pytest.param(
         ["solve", "--alpha", "1000003^3000*1000033*x^2 - 2"], 30, id="huge-cofactor"
     ),
+    pytest.param(
+        ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
+    ),
+    pytest.param(
+        ["powsearch", "--poly", "x", "--a-max", "5", "--b-max", "100000000000"],
+        10,
+        id="sweep-b",
+    ),
 ]
+
+
+def run_module(argv, limit):
+    """Run `python -m selfpower.cli argv --json` on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "selfpower.cli", *argv, "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=limit,
+    )
 
 
 class TestAdversarialInputs:
     @pytest.mark.parametrize("argv, limit", _ADVERSARIAL)
     def test_finishes_or_fails_typed(self, argv, limit):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "selfpower.cli", *argv, "--json"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=limit,
-        )
+        proc = run_module(argv, limit)
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         if proc.returncode:
             assert "kind" in json.loads(proc.stderr)
         else:
             json.loads(proc.stdout)
+
+
+def test_binomial_text_is_the_polynomial_text():
+    for s in (1, 2, 6561, 10**700):
+        for d in (1, 2, 9, 40):
+            for r in (1, 3, 256):
+                if math.gcd(r, s) == 1:
+                    binomial = BinomialMinPoly(s, d, r)
+                    expected = format_polynomial(binomial.as_polynomial())
+                    assert _format_binomial(binomial) == expected
+
+
+class TestMinpolyWithoutFactorization:
+    """Minimal polynomials of inputs whose factorization is out of reach:
+    each used to exit 4 on the rho budget or the cofactor cap."""
+
+    def test_f7_denominator(self):
+        proc = run_module(["minpoly", f"1/{_F7}"], 10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"d": _F7, "r": 1, "s": _F7}
+
+    def test_f7_numerator_meets_the_bit_cap(self):
+        proc = run_module(["minpoly", f"{_F7}/2"], 10)
+        assert proc.returncode == 4, proc.stderr
+        assert "past the bit cap of 1048576 bits" in json.loads(proc.stderr)["error"]
+
+    def test_4000_digit_prime_denominator(self):
+        b = 10**3999 + 7
+        proc = run_module(["minpoly", f"1/{b}"], 10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["d"] == b
+
+    def test_smooth_denominator(self):
+        # lcm(1..8999), 12983 bits, is no perfect power
+        b = math.lcm(*range(1, 9000))
+        proc = run_module(["minpoly", f"1/{b}"], 10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"d": b, "r": 1, "s": b}
 
 
 class TestConfiguration:

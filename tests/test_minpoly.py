@@ -1,12 +1,15 @@
 """Minimal polynomials of self-powers: closed form, shape recognition,
 irreducibility, and the denominator bounds they satisfy."""
 
+import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import mpmath as mp
 import pytest
 
+from selfpower import arith, minpoly
 from selfpower import (
     BinomialMinPoly,
     DomainError,
@@ -20,6 +23,64 @@ from selfpower import (
     is_irreducible_binomial,
     minimal_polynomial_of_self_power,
 )
+
+
+def reference_exponent_gcd(a, b):
+    """g = gcd(b, every prime exponent of a and of b), from factorizations."""
+    if a < 1 or b < 1:
+        raise DomainError("need a, b >= 1")
+    if gcd(a, b) != 1:
+        raise DomainError("a and b must be coprime")
+    g = b
+    for _, e in factorize(a) + factorize(b):
+        g = gcd(g, e)
+    return g
+
+
+def reference_minimal_polynomial(a, b):
+    """The construction from prime factorizations: s and r as products of
+    prime powers q^(e/g * a), refused past the same bit-cap estimate."""
+    g = reference_exponent_gcd(a, b)
+    est_bits = (a // g + 1) * (b.bit_length() + a.bit_length())
+    if est_bits > arith.BIT_CAP:
+        ab = f"{a}/{b}"
+        raise ResourceError(
+            f"minimal polynomial of ({ab})^({ab}) needs about {est_bits} bits, "
+            f"past the bit cap of {arith.BIT_CAP} bits"
+        )
+    s = r = 1
+    for q, e in factorize(b):
+        s *= q ** (e // g * a)
+    for p, e in factorize(a):
+        r *= p ** (e // g * a)
+    return BinomialMinPoly(s=s, d=b // g, r=r)
+
+
+def _outcome(construct, a, b):
+    """(s, d, r), or the text of the ResourceError the construction raised."""
+    try:
+        binomial = construct(a, b)
+    except ResourceError as exc:
+        return str(exc)
+    return binomial.s, binomial.d, binomial.r
+
+
+def _coprime_grid():
+    return [(a, b) for a in range(1, 150) for b in range(1, 150) if gcd(a, b) == 1]
+
+
+@cache
+def _seeded_power_pairs():
+    """3000 coprime pairs (base_a^i, base_b^j), 0 <= i, j <= 12; the bases
+    include perfect powers, so exponents nest."""
+    rng = random.Random(2024)
+    pairs = []
+    while len(pairs) < 3000:
+        a = rng.randrange(2, 60) ** rng.randrange(0, 13)
+        b = rng.randrange(2, 60) ** rng.randrange(0, 13)
+        if gcd(a, b) == 1:
+            pairs.append((a, b))
+    return tuple(pairs)
 
 
 class TestMinimalPolynomial:
@@ -92,6 +153,61 @@ class TestMinimalPolynomial:
         assert degree_of_self_power(1, 2) == 2
         assert degree_of_self_power(5, 1) == 1
         assert degree_of_self_power(8, 27) == 9
+
+
+class TestAgainstFactorization:
+    """The closed form from perfect-power exponents against the one from
+    prime factorizations it replaced."""
+
+    @pytest.fixture
+    def small_bit_cap(self, monkeypatch):
+        # at the real cap an answer near it costs both constructions ~0.5 s;
+        # at 2^16 bits every answer is small and many pairs meet the cap
+        monkeypatch.setattr(arith, "BIT_CAP", 1 << 16)
+        monkeypatch.setattr(minpoly, "BIT_CAP", 1 << 16)
+
+    def test_matches_reference_on_coprime_grid(self):
+        for a, b in _coprime_grid():
+            expected = _outcome(reference_minimal_polynomial, a, b)
+            assert _outcome(minimal_polynomial_of_self_power, a, b) == expected, (a, b)
+            assert degree_of_self_power(a, b) == b // reference_exponent_gcd(a, b)
+
+    def test_matches_reference_on_seeded_powers(self, small_bit_cap):
+        refused = 0
+        for a, b in _seeded_power_pairs():
+            expected = _outcome(reference_minimal_polynomial, a, b)
+            assert _outcome(minimal_polynomial_of_self_power, a, b) == expected, (a, b)
+            assert degree_of_self_power(a, b) == b // reference_exponent_gcd(a, b)
+            refused += isinstance(expected, str)
+        # both outcomes occur often
+        assert 300 < refused < 2700
+
+    def test_no_factorization(self, monkeypatch, small_bit_cap):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) on the minimal-polynomial path")
+
+        is_prime = arith.is_prime
+
+        def small_is_prime(n):
+            # the power-residue moduli q = 1 (mod 2p) are small; a
+            # Miller-Rabin test on anything larger would be a cofactor's
+            if n >= 1 << 32:
+                raise AssertionError(f"is_prime({n}) on the minimal-polynomial path")
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "factorize", refuse)
+        monkeypatch.setattr(minpoly, "factorize", refuse)
+        monkeypatch.setattr(arith, "is_prime", small_is_prime)
+        f7 = 2**128 + 1
+        pairs = _coprime_grid() + list(_seeded_power_pairs())
+        pairs += [(1, f7), (f7, 2), (2, f7), (1, 10**3999 + 7)]
+        for a, b in pairs:
+            try:
+                minimal_polynomial_of_self_power(a, b)
+            except ResourceError as exc:
+                assert "past the bit cap" in str(exc), (a, b)
+            degree_of_self_power(a, b)
+        assert minimal_polynomial_of_self_power(1, f7) == BinomialMinPoly(f7, f7, 1)
 
 
 class TestDenominatorBoundsSoundness:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfpower import polypower
 from selfpower import (
     DomainError,
     IntPolynomial,
@@ -212,3 +213,25 @@ class TestEnumeration:
         for x, value in enumerate_rational_powers(P_2X, 30, b_max=15):
             exponent = eval_polynomial(P_2X, x)
             assert value**exponent.denominator == x**exponent.numerator
+
+    def test_sweep_cap_refused_before_any_point(self, monkeypatch):
+        def analyzed(poly, x):
+            raise LookupError(f"analyzed {x}")
+
+        monkeypatch.setattr(polypower, "analyze_poly_power", analyzed)
+        with pytest.raises(ResourceError) as exc:
+            enumerate_rational_powers(P_X, 5, b_max=10**11)
+        assert str(exc.value) == (
+            "sweep of a <= 5, 2 <= b <= 100000000000 has 499999999995 points, "
+            "past the cap of 1048576 points"
+        )
+        with pytest.raises(ResourceError, match="4000000000000 points"):
+            enumerate_rational_powers(P_2X, 10**12)
+        # 2^10 * (2^10 + 1 - 1) points is the cap itself: the sweep starts
+        with pytest.raises(LookupError):
+            enumerate_rational_powers(P_X, 1 << 10, b_max=(1 << 10) + 1)
+        with pytest.raises(ResourceError, match="1049600 points"):
+            enumerate_rational_powers(P_X, 1 << 10, b_max=(1 << 10) + 2)
+        # 997*x^2 + 1 up to a = 20: 20 * 29793 = 595860 points, answered
+        with pytest.raises(LookupError):
+            enumerate_rational_powers(IntPolynomial((1, 0, 997)), 20)
