@@ -8,7 +8,7 @@ import threading
 import time
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 from pathlib import Path
 
 import mpmath as mp
@@ -50,6 +50,14 @@ def trial_division_factorize(n):
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def padic_valuation_one_at_a_time(p, n):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def trial_is_prime(n):
@@ -179,8 +187,9 @@ class TestFactorize:
         )
 
     def test_huge_prime_power_is_fast(self):
-        # trial division walks all 78,498 primes over a 59,795-bit n; the
-        # perfect-power reduction then takes square and cube roots only
+        # trial division walks all 78,498 primes over a 59,795-bit n, one gcd
+        # per chunk of 256 past the first; the perfect-power reduction then
+        # takes square and cube roots only
         start = time.perf_counter()
         assert factorize(1_000_003**3000) == ((1_000_003, 3000),)
         assert time.perf_counter() - start < 20
@@ -205,11 +214,33 @@ class TestFactorize:
         inputs = list(range(2, 3000))
         inputs += [rng.randrange(2, 100) ** rng.randrange(1, 60) for _ in range(300)]
         inputs += [2**1000, 3**997, 6**360 * 5**120]
+        # smooth inputs: every residue modulus of a small prime exponent
+        # divides some of them
+        inputs += [lcm(*range(1, m)) for m in (10, 100, 1000, 9000)]
+        inputs += [lcm(*range(1, m)) ** k for m in (30, 400) for k in (2, 3, 6, 35)]
+        for _ in range(300):
+            k = rng.randrange(1, 13)
+            exponents = [rng.randrange(0, 6) for _ in range(6)]
+            n = prod(p**e for p, e in zip((2, 5, 7, 13, 17, 19), exponents)) ** k
+            if n > 1:
+                inputs.append(n)
         for n in inputs:
             k = 0
             for _, e in factorize(n):
                 k = gcd(k, e)
             assert arith._as_perfect_power(n, 1) == (integer_kth_root(n, k), k), n
+
+    def test_residue_filter_rejects_smooth_non_powers(self):
+        # lcm(1..8999) is divisible by a residue modulus q = 1 (mod 2p) of
+        # each prime p below 200, to an exponent p does not divide; p-th
+        # powers divisible by every modulus of p pass
+        n = lcm(*range(1, 9000))
+        for p in eager_trial_primes()[:46]:
+            assert not arith._may_be_power(n, p), p
+            moduli = arith._residue_moduli(p)
+            m = 6 * prod(q**j for j, q in enumerate(moduli, 1))
+            assert arith._may_be_power(m**p, p), p
+            assert not arith._may_be_power(m**p * moduli[0], p), p
 
     def test_perfect_power_exponents_stop_at_the_trial_primes(self):
         # exponents up to 1000001 would need primes past the sieved 1e6
@@ -276,6 +307,36 @@ class TestGrownTrialPrimes:
             # and again on the list this factorization grew
             assert factorize(n) == reference_factorize(n), n
         assert arith._trial_primes == eager_trial_primes()[: len(arith._trial_primes)]
+
+    def test_chunk_edge_products_match_reference(self, fresh_trial_primes):
+        # chunks are 256 trial primes each, and the list grows to 172, 1900,
+        # 23000 and 78498 primes: the edges are those of the first gcd chunks,
+        # of the last complete chunk and of the partial chunk each length leaves
+        primes = eager_trial_primes()
+        edges = {255, 256, 511, 512}
+        for held in (1900, 23000, len(primes)):
+            last_complete = held // 256 * 256
+            edges |= {last_complete - 1, last_complete, held - 1}
+        edge_primes = [primes[i] for i in sorted(edges)]
+        assert edge_primes[-1] == 999983
+        inputs = [p * q for p, q in zip(edge_primes, edge_primes[1:])]
+        inputs += [p**2 for p in edge_primes]
+        inputs += [p * 1_000_003 for p in edge_primes]
+        inputs += [p**3 * q * 5 for p, q in zip(edge_primes, edge_primes[2:])]
+        # a chunk with many factors of n, one of them to a high power
+        inputs.append(prod(primes[256:512]) * primes[300] ** 40 * 1_000_003)
+        for n in inputs:
+            fresh_trial_primes()
+            assert factorize(n) == reference_factorize(n), n
+            # and again on the list this factorization grew
+            assert factorize(n) == reference_factorize(n), n
+
+    def test_chunk_products_are_the_products_of_their_slices(self, fresh_trial_primes):
+        # products cached by earlier factorizations, on shorter lists, included
+        arith._sieve_through(10**7)
+        primes = eager_trial_primes()
+        for i in range(1, len(primes) // 256):
+            assert arith._chunk_product(i) == prod(primes[256 * i : 256 * (i + 1)]), i
 
     def test_growth_stops_where_trial_division_does(self, fresh_trial_primes):
         factorize(1021**2)
@@ -364,6 +425,25 @@ class TestPadicValuation:
         v = padic_valuation(p, n)
         assert n % p**v == 0
         assert n % p ** (v + 1) != 0
+
+    @given(
+        st.sampled_from([2, 3, 5, 1021, 999983, 2**61 - 1]),
+        st.integers(0, 600),
+        st.integers(1, 10**30),
+    )
+    @settings(max_examples=300)
+    def test_removes_every_power(self, p, v, m):
+        expected = padic_valuation_one_at_a_time(p, m)
+        assert arith._remove_prime(m * p**v, p) == (m // p**expected, v + expected)
+
+    def test_large_exponents_are_fast(self):
+        # one division per unit of the exponent took 0.4-0.7 s on each; by
+        # repeated squaring all three take about 15 ms
+        start = time.perf_counter()
+        assert padic_valuation(3, 3**40000 * 7) == 40000
+        assert factorize(3**40000) == ((3, 40000),)
+        assert factorize(2**65536 * 5**3) == ((2, 65536), (5, 3))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIntegerKthRoot:

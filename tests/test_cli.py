@@ -381,6 +381,7 @@ _ADVERSARIAL = [
     pytest.param(
         ["solve", "--alpha", "1000003^3000*1000033*x^2 - 2"], 30, id="huge-cofactor"
     ),
+    pytest.param(["solve", "--alpha", "3^40000*x^2 - 2"], 30, id="huge-small-prime-power"),
     pytest.param(
         ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
     ),
