@@ -6,10 +6,11 @@ extraction for x^a = y^b with coprime exponents, and exact order comparisons
 of self-power expressions t^t against rationals and against d-th roots of
 rationals.
 
-Comparands too large to materialise under the bit cap BIT_CAP are ordered
-through rigorous fixed-point enclosures of log2 -- still integer-only; a sign
-is reported only once the enclosure excludes zero, and exact equality is
-always detected structurally beforehand, so no decision ever rests on an
+Comparands of more than 10240 bits are ordered through rigorous fixed-point
+enclosures of log2 -- still integer-only; a sign is reported only once the
+enclosure excludes zero.  When a 64-bit enclosure cannot decide,
+comparands under the bit cap BIT_CAP are materialised; past it exact equality
+has been detected structurally beforehand, so no decision ever rests on an
 approximation.
 """
 
@@ -30,7 +31,7 @@ from .errors import DomainError, PreconditionError, ResourceError, number_text
 Factorization = tuple[tuple[int, int], ...]
 
 #: Bit-size cap for operations that materialise a^a-scale integers; past it
-#: comparisons go through log2 enclosures and constructions are refused.
+#: comparisons rest on log2 enclosures alone and constructions are refused.
 BIT_CAP = 1 << 20
 
 
@@ -514,6 +515,14 @@ def log2_interval(n: int, prec: int) -> tuple[int, int]:
     """Integer enclosure (lo, hi) of 2**prec * log2(n) for n >= 1."""
     if n < 1:
         raise DomainError("log2 of a non-positive integer")
+    return _log2_interval(n, prec)
+
+
+# Bisection compares every halving against the same q, so the enclosures of
+# q's numerator and denominator repeat at each precision; the cache computes
+# them once.  Its keys can be long integers, hence the bound.
+@lru_cache(maxsize=256)
+def _log2_interval(n: int, prec: int) -> tuple[int, int]:
     k = n.bit_length() - 1
     if n == 1 << k:
         return k << prec, k << prec
@@ -564,11 +573,44 @@ def floor_of_multiple_ln(mult: int, n: int, prec: int = 96) -> int:
 
 
 _MAX_LOG_PRECISION = 1 << 16
+#: Precision of the first log2 enclosure a comparison tries.
+_LOG_START_PRECISION = 64
+#: Products up to this many bits are materialised before any enclosure.  An
+#: enclosure at precision p squares p integers of 2p + 32 bits, so below this
+#: count the product is the cheaper side.
+_DIRECT_BITS = _LOG_START_PRECISION * (2 * _LOG_START_PRECISION + 32)
 
 
 # ---------------------------------------------------------------------------
 # exact comparison of power products
 # ---------------------------------------------------------------------------
+
+
+def _materialised_order(left, right) -> Ordering:
+    lprod = rprod = 1
+    for b, e in left:
+        lprod *= b**e
+    for b, e in right:
+        rprod *= b**e
+    return Ordering.of_sign((lprod > rprod) - (lprod < rprod))
+
+
+def _log2_order(left, right, prec: int) -> Ordering | None:
+    """The order the log2 enclosures at prec prove, or None when they overlap."""
+    diff_lo = diff_hi = 0
+    for b, e in left:
+        lo, hi = log2_interval(b, prec)
+        diff_lo += e * lo
+        diff_hi += e * hi
+    for b, e in right:
+        lo, hi = log2_interval(b, prec)
+        diff_lo -= e * hi
+        diff_hi -= e * lo
+    if diff_lo > 0:
+        return Ordering.GREATER
+    if diff_hi < 0:
+        return Ordering.LESS
+    return None
 
 
 def compare_power_products(
@@ -577,41 +619,33 @@ def compare_power_products(
 ) -> Ordering:
     """Exact order of two products of powers, given as (base, exponent) pairs.
 
-    Bases must be >= 1 and exponents >= 0.  Products that fit under BIT_CAP
-    are compared directly; larger ones through log2 enclosures at doubling
-    precision.  On the enclosure path exact equality must have been ruled out
-    by the caller (structurally, as the self-power comparators do); inputs
-    that stay indistinguishable at the maximum precision raise ResourceError.
+    Bases must be >= 1 and exponents >= 0.  Products of at most _DIRECT_BITS
+    bits are compared directly.  Larger ones go to a 64-bit log2 enclosure
+    first; when it cannot separate them and both fit under BIT_CAP, they are
+    materialised, so equal products under the cap compare EQUAL.  Past
+    BIT_CAP the precision doubles until the enclosures separate: there exact
+    equality must have been ruled out by the caller (structurally, as the
+    self-power comparators do), and inputs that stay indistinguishable at the
+    maximum precision raise ResourceError.
     """
     left = [(b, e) for b, e in lhs if b != 1 and e != 0]
     right = [(b, e) for b, e in rhs if b != 1 and e != 0]
     for b, e in left + right:
         if b < 1 or e < 0:
             raise DomainError("power products need bases >= 1 and exponents >= 0")
-    lbits = sum(e * b.bit_length() for b, e in left)
-    rbits = sum(e * b.bit_length() for b, e in right)
-    if max(lbits, rbits) <= BIT_CAP:
-        lprod = rprod = 1
-        for b, e in left:
-            lprod *= b**e
-        for b, e in right:
-            rprod *= b**e
-        return Ordering.of_sign((lprod > rprod) - (lprod < rprod))
-    prec = 64
+    bits = max(
+        sum(e * b.bit_length() for b, e in left),
+        sum(e * b.bit_length() for b, e in right),
+    )
+    if bits <= min(_DIRECT_BITS, BIT_CAP):
+        return _materialised_order(left, right)
+    prec = _LOG_START_PRECISION
     while prec <= _MAX_LOG_PRECISION:
-        diff_lo = diff_hi = 0
-        for b, e in left:
-            lo, hi = log2_interval(b, prec)
-            diff_lo += e * lo
-            diff_hi += e * hi
-        for b, e in right:
-            lo, hi = log2_interval(b, prec)
-            diff_lo -= e * hi
-            diff_hi -= e * lo
-        if diff_lo > 0:
-            return Ordering.GREATER
-        if diff_hi < 0:
-            return Ordering.LESS
+        order = _log2_order(left, right, prec)
+        if order is not None:
+            return order
+        if bits <= BIT_CAP:
+            return _materialised_order(left, right)
         prec <<= 1
     raise ResourceError(
         f"comparison unresolved at the log2 precision cap of "

@@ -10,6 +10,11 @@ behind the certificate is exact.
 The scan is the solver's own `solver.integer_scan` on the rational target q,
 the d = 1 case of its scan, so it stops after N <= max(3, 1 + ceil(ln q))
 steps and raises when a comparator would take it past that bound.
+
+The bisection halves [1, max(2, ceil(q))] a fixed number of times.  The scan
+stopped at the first n with n^n > q, so (n - 1)^(n - 1) < q < n^n, and x^x
+increases on [1, inf): a midpoint outside (n - 1, n) is decided without a
+comparison, and only midpoints inside it are compared with q exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ class Certificate:
             raise DomainError("certificate interval must be nonempty")
 
 
-def _bisect(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Bisect [1, max(2, ceil(q))] to width around the preimage of q, given the
+    integer scan's stop n: (n - 1)^(n - 1) < q < n^n."""
     if width <= 0:
         raise DomainError("width must be positive")
     lo = Fraction(1)
@@ -69,7 +76,13 @@ def _bisect(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
         )
     for _ in range(halvings):
         mid = (lo + hi) / 2
-        c = compare_self_power_to_rational(mid, q)
+        # the scan decides every midpoint outside (n - 1, n)
+        if mid <= n - 1:
+            c = Ordering.LESS
+        elif mid >= n:
+            c = Ordering.GREATER
+        else:
+            c = compare_self_power_to_rational(mid, q)
         # Equal cannot happen: a rational x with rational x^x is an integer,
         # and the scan has excluded the integers
         if c is Ordering.EQUAL:
@@ -97,13 +110,13 @@ def bisect_preimage(q, width) -> tuple[Fraction, Fraction]:
         raise UnsupportedInputError(
             f"bisection covers q > 1 only, got {number_text(q)}"
         )
-    found, _ = integer_scan(AlgebraicTarget.from_rational(q))
+    found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
     if found is not None:
         raise DomainError(
             f"x^x = {number_text(q)} has the exact solution x = {found}; "
             "bisection refused"
         )
-    return _bisect(q, Fraction(width))
+    return _bisect(q, Fraction(width), scanned)
 
 
 def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
@@ -129,7 +142,7 @@ def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
     if found is not None:
         return found
-    lo, hi = _bisect(q, Fraction(width))
+    lo, hi = _bisect(q, Fraction(width), scanned)
     # the scan stopped at the first n with n^n > q
     trace = [(n, Ordering.LESS) for n in range(1, scanned)]
     trace.append((scanned, Ordering.GREATER))

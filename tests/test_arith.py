@@ -22,6 +22,7 @@ from selfpower import (
     Ordering,
     PreconditionError,
     ResourceError,
+    bisect_preimage,
     compare_power_products,
     compare_self_power_to_rational,
     compare_self_power_to_root,
@@ -641,3 +642,53 @@ class TestComparePowerProducts:
             rprod *= b**e
         expected = Ordering.of_sign((lprod > rprod) - (lprod < rprod))
         assert compare_power_products(lhs, rhs) is expected
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            ([(3, 20000)], [(9, 10000)]),
+            ([(6, 3000)], [(2, 3000), (3, 3000)]),
+        ],
+    )
+    def test_equal_products_under_the_bit_cap_compare_equal(self, lhs, rhs):
+        # past the direct limit the 64-bit enclosure comes first; it cannot
+        # separate equal products, which are then materialised, not refined
+        bits = max(sum(e * b.bit_length() for b, e in side) for side in (lhs, rhs))
+        assert arith._DIRECT_BITS < bits <= arith.BIT_CAP
+        start = time.perf_counter()
+        assert compare_power_products(lhs, rhs) is Ordering.EQUAL
+        assert compare_power_products(rhs, lhs) is Ordering.EQUAL
+        assert time.perf_counter() - start < 1.0
+
+    def test_log_first_order_matches_materialised_order(self):
+        # products of 10^4 to 10^6 bits: random ones, and the two sides of
+        # t^t vs q at adjacent dyadic midpoints t next to the root of x^x = q,
+        # where they are closest
+        rng = random.Random(31)
+        cases = []
+        for _ in range(60):
+            lhs, rhs = [], []
+            for side in (lhs, rhs):
+                for _ in range(rng.randint(1, 3)):
+                    base = rng.randrange(2, 1 << rng.randint(2, 64))
+                    side.append((base, rng.randint(10**4, 3 * 10**5) // base.bit_length()))
+            cases.append((lhs, rhs))
+        for _ in range(12):
+            den = rng.choice((1, 2, 3, 7))
+            q = Fraction(rng.randint(den + 1, 10**3), den)
+            if q.denominator == 1 and any(j**j == q for j in range(2, 6)):
+                continue
+            root = bisect_preimage(q, Fraction(1, 2**30))[0]
+            # the odd numerators keep the denominator at 2^k
+            k = rng.randint(11, 13)
+            j = int(root * 2 ** (k - 1))
+            for t in (Fraction(2 * j + i, 2**k) for i in (-1, 1, 3)):
+                a, b = t.numerator, t.denominator
+                m, n = q.numerator, q.denominator
+                cases.append(([(a, a), (n, b)], [(b, a), (m, b)]))
+        for lhs, rhs in cases:
+            bits = max(sum(e * b.bit_length() for b, e in side) for side in (lhs, rhs))
+            assert 10**4 <= bits <= 10**6, (lhs, rhs)
+            lprod, rprod = prod(b**e for b, e in lhs), prod(b**e for b, e in rhs)
+            expected = Ordering.of_sign((lprod > rprod) - (lprod < rprod))
+            assert compare_power_products(lhs, rhs) is expected, (lhs, rhs)

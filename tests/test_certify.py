@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import ceil
 
 import mpmath as mp
 import pytest
 
 import selfpower.certify as certify
+from selfpower import arith
 from selfpower import (
     Certificate,
     DomainError,
@@ -16,6 +18,7 @@ from selfpower import (
     bisect_preimage,
     classify_preimage,
     compare_self_power_to_rational,
+    powers_equal,
 )
 
 
@@ -221,3 +224,84 @@ class TestScanIsTheSolverScan:
             else:
                 assert list(result.integer_scan_trace) == expected, q
                 assert f"n = 1..{len(expected)} " in result.statement
+
+
+def reference_compare_power_products(lhs, rhs) -> Ordering:
+    """The comparator before it tried log2 first: products materialised up to
+    the bit cap, log2 enclosures at doubling precision past it."""
+    left = [(b, e) for b, e in lhs if b != 1 and e != 0]
+    right = [(b, e) for b, e in rhs if b != 1 and e != 0]
+    lbits = sum(e * b.bit_length() for b, e in left)
+    rbits = sum(e * b.bit_length() for b, e in right)
+    if max(lbits, rbits) <= arith.BIT_CAP:
+        lprod = rprod = 1
+        for b, e in left:
+            lprod *= b**e
+        for b, e in right:
+            rprod *= b**e
+        return Ordering.of_sign((lprod > rprod) - (lprod < rprod))
+    prec = 64
+    while True:
+        diff_lo = diff_hi = 0
+        for b, e in left:
+            lo, hi = arith.log2_interval(b, prec)
+            diff_lo, diff_hi = diff_lo + e * lo, diff_hi + e * hi
+        for b, e in right:
+            lo, hi = arith.log2_interval(b, prec)
+            diff_lo, diff_hi = diff_lo - e * hi, diff_hi - e * lo
+        if diff_lo > 0:
+            return Ordering.GREATER
+        if diff_hi < 0:
+            return Ordering.LESS
+        prec <<= 1
+
+
+def reference_compare(t: Fraction, q: Fraction) -> Ordering:
+    a, b = t.numerator, t.denominator
+    m, n = q.numerator, q.denominator
+    if powers_equal(a, a, m, b) and powers_equal(b, a, n, b):
+        return Ordering.EQUAL
+    return reference_compare_power_products([(a, a), (n, b)], [(b, a), (m, b)])
+
+
+def reference_bisect(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """The bisection before it used the scan's bracket: every halving compared."""
+    lo, hi = Fraction(1), Fraction(max(2, ceil(q)))
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if reference_compare(mid, q) is Ordering.LESS:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bracket_sweep() -> list[tuple[Fraction, Fraction]]:
+    # integers below 10^4, fractions, q in [10^12, 10^30); widths 2^-k and
+    # 10^-k for k <= 60
+    rng = random.Random(20261019)
+    qs = [Fraction(rng.randint(2, 10**4 - 1)) for _ in range(24)]
+    for _ in range(24):
+        den = rng.randint(2, 50)
+        qs.append(Fraction(rng.randint(den + 1, 101 * den), den))
+    qs += [Fraction(rng.randrange(10**12, 10**30)) for _ in range(16)]
+    qs += [Fraction(rng.randrange(10**12, 10**30), rng.randint(2, 1000)) for _ in range(8)]
+    cases = []
+    for i, q in enumerate(qs):
+        k = 60 if i % 7 == 0 else rng.randint(0, 60)
+        base = 2 if i % 2 else 10
+        cases.append((q, Fraction(1, base**k)))
+    return cases
+
+
+class TestBisectionMatchesReference:
+    @pytest.mark.parametrize("q, width", _bracket_sweep())
+    def test_same_interval_and_statement(self, q, width):
+        result = classify_preimage(q, width)
+        if isinstance(result, int):
+            assert Fraction(result) ** result == q
+            return
+        lo, hi = reference_bisect(q, width)
+        assert result.interval == (lo, hi)
+        scanned = len(reference_scan(q))
+        assert result.statement == certify._statement(q, scanned, lo, hi)

@@ -59,7 +59,7 @@ def test_bisection_bracket_raises(monkeypatch):
         certify, "compare_self_power_to_rational", lambda *args: Ordering.EQUAL
     )
     with pytest.raises(AssertionError, match="does not bracket"):
-        certify._bisect(Fraction(2), Fraction(1, 100))
+        certify._bisect(Fraction(2), Fraction(1, 100), 2)
 
 
 def test_bisection_equality_raises(monkeypatch):

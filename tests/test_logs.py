@@ -5,11 +5,13 @@ with the enclosure precision so the oracle is never the weaker side.
 """
 
 import random
+import types
 
 import mpmath as mp
 import pytest
 
 from selfpower import DomainError
+from selfpower import arith
 from selfpower.arith import (
     _ln2_interval,
     floor_of_multiple_ln,
@@ -64,8 +66,39 @@ def test_ln_of_one_is_exact():
 
 
 def test_log_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        log2_interval(0, 16)
+    # validated before the cache, which never sees these
+    cached = arith._log2_interval.cache_info().currsize
+    for n in (0, -1, -(2**70)):
+        with pytest.raises(DomainError):
+            log2_interval(n, 16)
+    assert arith._log2_interval.cache_info().currsize == cached
+
+
+def test_log2_interval_is_a_plain_function():
+    # instrumentation wraps plain functions only; the cache sits behind it
+    assert isinstance(log2_interval, types.FunctionType)
+
+
+def test_cached_enclosures_equal_first_calls():
+    rng = random.Random(23)
+    cases = [
+        (rng.getrandbits(rng.randrange(8, 400)) | 1, prec)
+        for prec in (16, 64, 128, 256)
+        for _ in range(30)
+    ]
+    cases = list(dict.fromkeys(cases))
+    arith._log2_interval.cache_clear()
+    first = [log2_interval(n, prec) for n, prec in cases]
+    assert arith._log2_interval.cache_info().hits == 0
+    assert [log2_interval(n, prec) for n, prec in cases] == first
+    assert arith._log2_interval.cache_info().hits == len(cases)
+    uncached = arith._log2_interval.__wrapped__
+    assert [uncached(n, prec) for n, prec in cases] == first
+
+
+def test_log2_cache_is_bounded():
+    maxsize = arith._log2_interval.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 1024
 
 
 def test_floor_of_multiple_ln_known_values():
