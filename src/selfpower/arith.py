@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 import random
 import threading
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import compress, islice
 from math import gcd, isqrt, prod
-from typing import Iterable
 
 from .errors import DomainError, PreconditionError, ResourceError, number_text
 

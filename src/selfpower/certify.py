@@ -19,7 +19,7 @@ comparison, and only midpoints inside it are compared with q exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import Ordering, compare_self_power_to_rational
@@ -32,21 +32,24 @@ DEFAULT_WIDTH = Fraction(1, 10**9)
 _MAX_HALVINGS = 10_000
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "q integer_scan_trace interval statement")):
     """Exact evidence that the real solution of x^x = q is transcendental."""
 
-    q: Fraction
-    integer_scan_trace: tuple[tuple[int, Ordering], ...]
-    interval: tuple[Fraction, Fraction]
-    statement: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q <= 1:
+    def __new__(
+        cls,
+        q: Fraction,
+        integer_scan_trace: tuple[tuple[int, Ordering], ...],
+        interval: tuple[Fraction, Fraction],
+        statement: str,
+    ):
+        if q <= 1:
             raise DomainError("certificates cover q > 1 only")
-        lo, hi = self.interval
+        lo, hi = interval
         if not lo < hi:
             raise DomainError("certificate interval must be nonempty")
+        return super().__new__(cls, q, integer_scan_trace, interval, statement)
 
 
 def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:

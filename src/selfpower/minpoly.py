@@ -11,7 +11,7 @@ which factors only the degree d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -19,17 +19,17 @@ from .arith import BIT_CAP, _as_perfect_power, factorize, integer_kth_root
 from .errors import DomainError, ResourceError, number_text
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """Dense integer polynomial; coeffs[k] is the coefficient of x^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise DomainError("empty polynomial")
-        if self.coeffs[-1] == 0:
+        if coeffs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -48,26 +48,24 @@ class IntPolynomial:
         return IntPolynomial(tuple(cs))
 
 
-@dataclass(frozen=True)
-class BinomialMinPoly:
+class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
     """The binomial s*x^d - r with s, d, r >= 1 and gcd(r, s) = 1.
 
     This is the only minimal-polynomial shape that admits rational solutions
     of x^x = alpha; its unique positive real root is (r/s)^(1/d).
     """
 
-    s: int
-    d: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 1 or self.d < 1 or self.r < 1:
+    def __new__(cls, s: int, d: int, r: int):
+        if s < 1 or d < 1 or r < 1:
             raise DomainError("binomial needs s, d, r >= 1")
-        if gcd(self.r, self.s) != 1:
+        if gcd(r, s) != 1:
             raise DomainError(
-                f"gcd(r, s) must be 1, got gcd({number_text(self.r)}, "
-                f"{number_text(self.s)})"
+                f"gcd(r, s) must be 1, got gcd({number_text(r)}, "
+                f"{number_text(s)})"
             )
+        return super().__new__(cls, s, d, r)
 
     def as_polynomial(self) -> IntPolynomial:
         coeffs = [0] * (self.d + 1)
@@ -115,7 +113,10 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
         )
     s = integer_kth_root(b, g) ** a
     r = integer_kth_root(a, g) ** a
-    return BinomialMinPoly(s=s, d=b // g, r=r)
+    # r and s are powers of the coprime a and b, so gcd(r, s) = 1 holds
+    # already; _make skips the constructor's check, whose gcd of the two
+    # powers costs more than computing them
+    return BinomialMinPoly._make((s, b // g, r))
 
 
 def degree_of_self_power(a: int, b: int) -> int:

@@ -9,7 +9,7 @@ P(x) = 0).  The bounded sweep makes the bound observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -18,16 +18,14 @@ from .errors import DomainError, ResourceError, number_text
 from .minpoly import IntPolynomial
 
 
-@dataclass(frozen=True)
-class RationalityVerdict:
+class RationalityVerdict(namedtuple("RationalityVerdict", "exponent rational")):
     """Outcome of the rationality analysis of x^P(x).
 
     exponent is the reduced value P(x); rational is the exact value of
     x^P(x) when that value is rational, None otherwise.
     """
 
-    exponent: Fraction
-    rational: Fraction | None
+    __slots__ = ()
 
 
 def eval_polynomial(poly: IntPolynomial, x: Fraction) -> Fraction:

@@ -15,7 +15,7 @@ reciprocals solving x^y = y^x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -44,24 +44,23 @@ from .minpoly import (
 )
 
 
-@dataclass(frozen=True)
-class AlgebraicTarget:
+class AlgebraicTarget(namedtuple("AlgebraicTarget", "value root", defaults=(None, None))):
     """The right-hand side alpha of x^x = alpha.
 
     Either a positive rational value, or the unique positive real root
     (r/s)^(1/d) of an irreducible binomial s*x^d - r of degree >= 2.
     """
 
-    value: Fraction | None = None
-    root: BinomialMinPoly | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.value is None) == (self.root is None):
+    def __new__(cls, value: Fraction | None = None, root: BinomialMinPoly | None = None):
+        if (value is None) == (root is None):
             raise DomainError("target needs exactly one of value or root")
-        if self.value is not None and self.value <= 0:
-            raise DomainError(f"alpha must be positive, got {number_text(self.value)}")
-        if self.root is not None and self.root.d < 2:
+        if value is not None and value <= 0:
+            raise DomainError(f"alpha must be positive, got {number_text(value)}")
+        if root is not None and root.d < 2:
             raise DomainError("degree-1 binomials must be given as rational values")
+        return super().__new__(cls, value, root)
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicTarget":
@@ -104,21 +103,20 @@ class AlgebraicTarget:
         return self.root.d, self.root.r, self.root.s
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(namedtuple("SolutionSet", "solutions scan_count")):
     """All positive rational solutions (at most two), plus the test count."""
 
-    solutions: tuple[Fraction, ...]
-    scan_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.solutions) > 2:
+    def __new__(cls, solutions: tuple[Fraction, ...], scan_count: int):
+        if len(solutions) > 2:
             raise AssertionError(
                 "x -> x^x has at most two preimages; got "
-                f"{[str(x) for x in self.solutions]}"
+                f"{[str(x) for x in solutions]}"
             )
-        if list(self.solutions) != sorted(set(self.solutions)):
+        if list(solutions) != sorted(set(solutions)):
             raise AssertionError("solutions must be sorted and distinct")
+        return super().__new__(cls, solutions, scan_count)
 
 
 def integer_scan(target: AlgebraicTarget) -> tuple[int | None, int]:

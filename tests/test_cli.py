@@ -407,6 +407,27 @@ def run_module(argv, limit):
     )
 
 
+def test_startup_leaves_heavy_modules_unloaded():
+    # every CLI call pays for the modules importing selfpower.cli loads;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    heavy = ("dataclasses", "inspect", "typing")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            f"import sys, selfpower.cli; print([m for m in {heavy!r} if m in sys.modules])",
+        ],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestAdversarialInputs:
     @pytest.mark.parametrize("argv, limit", _ADVERSARIAL)
     def test_finishes_or_fails_typed(self, argv, limit):

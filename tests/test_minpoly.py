@@ -149,6 +149,19 @@ class TestMinimalPolynomial:
                     assert e % g == 0
                 assert is_irreducible_binomial(binomial), (a, b)
 
+    def test_result_passes_the_checked_constructor(self):
+        # the result skips BinomialMinPoly's gcd(r, s) check; the checked
+        # constructor accepts the same fields and builds an equal record
+        for a in range(1, 60):
+            for b in range(1, 60):
+                if gcd(a, b) != 1:
+                    continue
+                binomial = minimal_polynomial_of_self_power(a, b)
+                assert type(binomial) is BinomialMinPoly
+                checked = BinomialMinPoly(s=binomial.s, d=binomial.d, r=binomial.r)
+                assert binomial == checked, (a, b)
+                assert repr(binomial) == repr(checked)
+
     def test_degree_examples(self):
         assert degree_of_self_power(1, 2) == 2
         assert degree_of_self_power(5, 1) == 1
