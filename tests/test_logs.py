@@ -6,6 +6,7 @@ with the enclosure precision so the oracle is never the weaker side.
 
 import random
 import types
+from math import isqrt
 
 import mpmath as mp
 import pytest
@@ -24,16 +25,84 @@ def _set_dps(prec_bits):
     mp.mp.dps = int(prec_bits * 0.302) + 30
 
 
-@pytest.mark.parametrize("prec", [4, 8, 16, 53, 64, 128, 512])
+def _oracle_log2(n, prec):
+    # 2**prec * log2(n), with n itself held exactly by the oracle
+    _set_dps(prec + n.bit_length())
+    return mp.log(n, 2) * (1 << prec)
+
+
+def reference_log2_interval(n, prec):
+    """The enclosure at 2*prec + 32 working bits, prec more than its error
+    bound needs: the same square-and-extract loop, run once rounding down and
+    once rounding up."""
+    k = n.bit_length() - 1
+    if n == 1 << k:
+        return k << prec, k << prec
+    f = 2 * prec + 32
+    one, two = 1 << f, 2 << f
+    ends = []
+    for x, round_up in (((n << f) >> k, False), (((n << f) >> k) + 1, True)):
+        acc = 0
+        for _ in range(prec):
+            x *= x
+            x = (x + one - 1) >> f if round_up else x >> f
+            acc <<= 1
+            if x >= two:
+                acc |= 1
+                x = (x + 1) >> 1 if round_up else x >> 1
+        ends.append((k << prec) + acc)
+    return ends[0], ends[1] + 1
+
+
+def _adversarial_n(ks):
+    # n just off a power of two, around 2^(k + 1/2), and powers of 3: their
+    # logarithms lie close to multiples of 2^-prec, where the two rounding
+    # sequences part
+    ns = []
+    for k in ks:
+        root = isqrt(1 << (2 * k + 1))
+        ns += [(1 << k) - 1, (1 << k) + 1, root, root + 1, 3**k]
+    return [n for n in dict.fromkeys(ns) if n >= 1]
+
+
+_ADVERSARIAL_KS = (
+    list(range(1, 70))
+    + [127, 128, 129, 255, 256, 257, 511, 512, 1000, 1023, 1024, 1025]
+    + [1500, 2047, 2048, 2049, 2999, 3000]
+)
+
+
+@pytest.mark.parametrize("prec", [4, 8, 16, 53, 64, 128, 512, 1024, 2048])
 def test_log2_interval_encloses(prec):
-    _set_dps(prec)
     rng = random.Random(prec)
     for _ in range(200):
-        n = rng.getrandbits(rng.randrange(1, 200)) | 1
+        n = rng.getrandbits(rng.randrange(1, 4000)) | 1
         lo, hi = log2_interval(n, prec)
-        v = mp.log(n, 2) * (1 << prec)
+        v = _oracle_log2(n, prec)
         assert lo <= v <= hi, (n, prec)
-        assert hi - lo <= 6
+        assert hi - lo <= 2, (n, prec)
+
+
+@pytest.mark.parametrize("prec", [4, 64, 256, 1024])
+def test_log2_interval_encloses_adversarial_n(prec):
+    for n in _adversarial_n(_ADVERSARIAL_KS):
+        lo, hi = log2_interval(n, prec)
+        v = _oracle_log2(n, prec)
+        assert lo <= v <= hi, (n.bit_length(), prec)
+        assert hi - lo <= 2, (n.bit_length(), prec)
+
+
+@pytest.mark.parametrize("prec", [4, 16, 64, 256, 1024])
+def test_log2_interval_within_two_ulps_of_reference(prec):
+    # dropping prec of the 2*prec + 32 working bits moves each end by 2 ulps
+    # at most
+    rng = random.Random(1000 + prec)
+    ns = [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(40)]
+    ks = [1, 2, 3, 31, 32, 33, 64, 255, 1024, 3000]
+    for n in ns + _adversarial_n(ks):
+        lo, hi = log2_interval(n, prec)
+        ref_lo, ref_hi = reference_log2_interval(n, prec)
+        assert abs(lo - ref_lo) <= 2 and abs(hi - ref_hi) <= 2, (n.bit_length(), prec)
 
 
 def test_log2_exact_on_powers_of_two():

@@ -155,6 +155,15 @@ class TestDenominatorBound:
         with pytest.raises(DomainError):
             denominator_bound(0)
 
+    def test_equals_floor_of_4_d_ln_d(self):
+        # the bound feeds JSON (`bound`, and `scan_count` through the scan),
+        # so the enclosure it rounds must never move it off the exact floor
+        rng = random.Random(4096)
+        degrees = list(range(2, 4097)) + [rng.randint(4097, 65536) for _ in range(500)]
+        mp.mp.dps = 50
+        for d in degrees:
+            assert denominator_bound(d) == int(mp.floor(4 * d * mp.ln(d))), d
+
 
 class TestSolveEnumerative:
     def test_two_solutions(self):
