@@ -488,37 +488,81 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 #
 # log2_interval(n, prec) returns integers (lo, hi) with
-#     lo <= 2**prec * log2(n) <= hi.
-# Fractional bits come from the classical square-and-extract loop, run twice:
-# once rounding every step down and once rounding up.  Each rounding mode is
-# monotone, so the two digit strings bracket the exact expansion at any
-# working precision f; f only decides how narrow the bracket is.  Every step
-# rounds the iterate, a number in [1, 2], by a relative 2^-f at most (the
-# squaring, then the halving when a digit is 1), and squaring doubles the
-# relative error already there, so after i steps it stays below about
-# 2^(i + 2 - f).  Weighted by its digit position, the error step i adds to
-# 2^prec * log2 is about 2^(prec - i - f), under 2^(prec + 2 - f) in all.
-# With f = prec + _LOG_GUARD_BITS that is below 2^-30 ulp: the two sequences
-# part only where an iterate falls within about 2^-29 of the digit
-# threshold 2, and hi - lo is 1, or 2 where 2^prec * log2(n) lies that close
-# to an integer.
-_LOG_GUARD_BITS = 32
+#     lo <= 2**prec * log2(n) <= hi,
+# and ln_interval(n, prec) the same for ln(n).  With n = 2^k * x, x in [1, 2),
+# both rest on one enclosure of ln x at w fractional bits (Brent, "Fast
+# multiple-precision evaluation of elementary functions", J. ACM 23, 1976;
+# Brent & Zimmermann, Modern Computer Arithmetic, 2010, sections 4.2-4.4):
+#
+#   1. r square roots take x to y = x^(2^-r) < 1 + 2^-r, and ln x = 2^r ln y;
+#   2. ln y = 2 atanh(z) = 2 sum_{j>=0} z^(2j+1) / (2j+1), z = (y-1)/(y+1),
+#      and z < 2^-(r+1), so each term is 2r + 2 bits below the last and
+#      J ~ w / (2r + 2) terms reach 2^-w;
+#   3. ln 2 = 2 atanh(1/3) is the same series, and log2 x = ln x / ln 2.
+#
+# Every quantity is carried as two fixed-point integers: the lower end rounds
+# each step down (isqrt, floored quotients and products), the upper end each
+# step up.  Each step is monotone in its inputs, so the lower end never
+# exceeds the exact value and the upper end is never below it, whatever w
+# is.  The lower series drops its positive tail.  The upper series stops once
+# its ceiled power P >= 2^w z^(2J+1) is at most 1 and adds 2P, which bounds
+# the tail P / (1 - z^2) for z <= 1/2.
+#
+# w decides only the width.  In units of 2^-w the two ends of x differ by 1.
+# A square root has slope <= 1/2 above 1, so each one halves the gap and adds
+# a rounding per end: y's ends differ by less than 4.  z = (y-1)/(y+1) has
+# slope <= 1/2, so z's ends differ by at most 4.  Each series term errs by
+# at most 1.5 per end (its power and its quotient round), the tail bound adds
+# 2 and atanh's slope 1/(1 - z^2) is below 1.04: the sums differ by at most
+# 3J + 7, and ln x's ends by 2^(r+1) (3J + 7).  Dividing by ln 2 > 0.69 and
+# by ln 2's own enclosure, 2 units wide, leaves 2^prec log2 x enclosed in an
+# interval of width at most 2^(prec + r - w) (9J + 25).  With
+# r = isqrt(prec) // 2 + 2 square roots and
+# w = prec + r + _LOG_GUARD_BITS + prec.bit_length(), J <= w / (2r + 2) + 3
+# is about sqrt(prec) and the width stays under 2^-6 ulp: hi - lo is 1, or 2
+# where 2^prec log2(n) lies that close to an integer.  Fewer roots and more
+# terms, isqrt(prec) // 4 + 1, measured about a fifth faster from 64 to 1024
+# bits; ROADMAP item 6 says why that is not taken yet.
+_LOG_GUARD_BITS = 12
 
 
-def _log2_frac_bits(x: int, f: int, prec: int, round_up: bool) -> int:
-    # x / 2^f in [1, 2]; first `prec` binary digits of log2(x / 2^f),
-    # consistently rounded down or up.
-    acc = 0
-    one = 1 << f
-    two = 2 << f
-    for _ in range(prec):
-        x *= x
-        x = (x + one - 1) >> f if round_up else x >> f
-        acc <<= 1
-        if x >= two:
-            acc |= 1
-            x = (x + 1) >> 1 if round_up else x >> 1
-    return acc
+def _atanh_sums(z_lo: int, z_hi: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w atanh(z) <= hi, for z_lo <= 2^w z <= z_hi
+    and 0 <= z <= 1/2."""
+    lo = 0
+    z2 = z_lo * z_lo >> w
+    power, j = z_lo, 1
+    while power:
+        lo += power // j
+        power = power * z2 >> w
+        j += 2
+    hi = 0
+    z2 = -(-z_hi * z_hi >> w)
+    power, j = z_hi, 1
+    while power > 1:
+        hi -= -power // j
+        power = -(-power * z2 >> w)
+        j += 2
+    return lo, hi + 2 * power
+
+
+def _root_count(prec: int) -> int:
+    return isqrt(prec) // 2 + 2
+
+
+def _ln_mantissa(n: int, k: int, r: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w ln(n / 2^k) <= hi, for 2^k <= n < 2^(k+1),
+    through r >= 1 square roots."""
+    y_lo = n >> (k - w) if k >= w else n << (w - k)
+    y_hi = y_lo + 1
+    for _ in range(r):
+        y_lo = isqrt(y_lo << w)
+        y_hi = isqrt((y_hi << w) - 1) + 1
+    one = 1 << w
+    z_lo = ((y_lo - one) << w) // (y_lo + one)
+    z_hi = -((-(y_hi - one) << w) // (y_hi + one))
+    lo, hi = _atanh_sums(z_lo, z_hi, w)
+    return lo << (r + 1), hi << (r + 1)
 
 
 def log2_interval(n: int, prec: int) -> tuple[int, int]:
@@ -536,44 +580,39 @@ def _log2_interval(n: int, prec: int) -> tuple[int, int]:
     k = n.bit_length() - 1
     if n == 1 << k:
         return k << prec, k << prec
-    f = prec + _LOG_GUARD_BITS
-    x = (n << f) >> k
-    lo = (k << prec) + _log2_frac_bits(x, f, prec, round_up=False)
-    hi = (k << prec) + _log2_frac_bits(x + 1, f, prec, round_up=True) + 1
+    r = _root_count(prec)
+    w = prec + r + _LOG_GUARD_BITS + prec.bit_length()
+    ln_lo, ln_hi = _ln_mantissa(n, k, r, w)
+    ln2_lo, ln2_hi = _ln2_interval(w)
+    lo = (k << prec) + (ln_lo << prec) // ln2_hi
+    hi = (k << prec) - ((-ln_hi << prec) // ln2_lo)
     return lo, hi
 
 
 @lru_cache(maxsize=None)
 def _ln2_interval(prec: int) -> tuple[int, int]:
-    # ln 2 = 2 atanh(1/3) = 2 sum_{j>=0} 3^-(2j+1) / (2j+1); floored partial
-    # sums give the lower bound, the per-term floor losses bound the upper.
-    f = prec + 16
-    total = 0
-    power = (2 << f) // 3
-    j = 0
-    while True:
-        term = power // (2 * j + 1)
-        if term == 0:
-            break
-        total += term
-        power //= 9
-        j += 1
-    slack = 3 * j + 8
-    lo = total >> 16
-    hi = -((-(total + slack)) >> 16)
-    return lo, hi
+    # ln 2 = 2 atanh(1/3): at w = prec + g bits the two sums differ by at
+    # most 3J + 7 < w + 16 units, and 2^g > 256 prec keeps twice that below
+    # one unit of 2^-prec
+    g = prec.bit_length() + 8
+    z = (1 << (prec + g)) // 3
+    lo, hi = _atanh_sums(z, z + 1, prec + g)
+    return (2 * lo) >> g, -((-2 * hi) >> g)
 
 
 def ln_interval(n: int, prec: int) -> tuple[int, int]:
     """Integer enclosure of 2**prec * ln(n) for n >= 1."""
-    if n == 1:
-        return 0, 0
-    work = prec + 8
-    l2lo, l2hi = log2_interval(n, work)
-    n2lo, n2hi = _ln2_interval(work)
-    lo = (l2lo * n2lo) >> (work + 8)
-    hi = -((-(l2hi * n2hi)) >> (work + 8))
-    return lo, hi
+    if n < 1:
+        raise DomainError("ln of a non-positive integer")
+    # ln n = k ln 2 + ln x; k.bit_length() more bits absorb k times the
+    # width of ln 2's enclosure
+    k = n.bit_length() - 1
+    r = _root_count(prec)
+    shift = r + _LOG_GUARD_BITS + prec.bit_length() + k.bit_length()
+    w = prec + shift
+    ln_lo, ln_hi = (0, 0) if n == 1 << k else _ln_mantissa(n, k, r, w)
+    ln2_lo, ln2_hi = _ln2_interval(w)
+    return (k * ln2_lo + ln_lo) >> shift, -((-(k * ln2_hi + ln_hi)) >> shift)
 
 
 def floor_of_multiple_ln(mult: int, n: int, prec: int = 96) -> int:
@@ -585,12 +624,12 @@ def floor_of_multiple_ln(mult: int, n: int, prec: int = 96) -> int:
 _MAX_LOG_PRECISION = 1 << 16
 #: Precision of the first log2 enclosure a comparison tries.
 _LOG_START_PRECISION = 64
-#: Products up to this many bits are materialised before any enclosure.  The
-#: value is measured, not derived: on certificate-shaped operands (2 cores,
-#: Python 3.11) a 10240-bit comparison takes about 60 us to multiply out and a
-#: 64-bit log2 order that computes its enclosures about 140 us; the two cross
-#: between 10240 and 20480 bits, so a lower value would move comparisons onto
-#: the slower path.
+#: Products up to this many bits are materialised before any enclosure.  On
+#: certificate-shaped operands (2 cores, Python 3.11, enclosures computed, not
+#: cached) multiplying out takes about 40 us at 5120 bits against about 95 us
+#: for the 64-bit log2 order, and 70-140 us at 10240 bits against 60-95 us, so
+#: the two now cross between 5120 and 10240 bits; lowering the value is a
+#: separate, measured change (ROADMAP item 6).
 _DIRECT_BITS = 10240
 
 

@@ -133,19 +133,15 @@ def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:
     """
     if poly.degree < 1:
         raise DomainError("as_binomial requires a non-constant polynomial")
-    coeffs = list(poly.coeffs)
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
-    content = 0
-    for c in coeffs:
-        content = gcd(content, c)
-    if content != 1:
+    coeffs = poly.coeffs
+    if gcd(*coeffs) != 1 or any(coeffs[1:-1]):
         return None
-    if any(c != 0 for c in coeffs[1:-1]):
+    s, r = coeffs[-1], -coeffs[0]
+    if s < 0:
+        s, r = -s, -r
+    if r <= 0:
         return None
-    if coeffs[0] >= 0:
-        return None
-    return BinomialMinPoly(s=coeffs[-1], d=len(coeffs) - 1, r=-coeffs[0])
+    return BinomialMinPoly(s=s, d=len(coeffs) - 1, r=r)
 
 
 def is_irreducible_binomial(binomial: BinomialMinPoly) -> bool:

@@ -32,9 +32,9 @@ def _oracle_log2(n, prec):
 
 
 def reference_log2_interval(n, prec):
-    """The enclosure at 2*prec + 32 working bits, prec more than its error
-    bound needs: the same square-and-extract loop, run once rounding down and
-    once rounding up."""
+    """An independent enclosure: the classical square-and-extract loop, one
+    binary digit per squaring, run once rounding down and once rounding up at
+    2*prec + 32 working bits, prec more than its error bound needs."""
     k = n.bit_length() - 1
     if n == 1 << k:
         return k << prec, k << prec
@@ -72,7 +72,7 @@ _ADVERSARIAL_KS = (
 )
 
 
-@pytest.mark.parametrize("prec", [4, 8, 16, 53, 64, 128, 512, 1024, 2048])
+@pytest.mark.parametrize("prec", [4, 8, 16, 53, 64, 128, 512, 1024, 2048, 4096])
 def test_log2_interval_encloses(prec):
     rng = random.Random(prec)
     for _ in range(200):
@@ -83,7 +83,7 @@ def test_log2_interval_encloses(prec):
         assert hi - lo <= 2, (n, prec)
 
 
-@pytest.mark.parametrize("prec", [4, 64, 256, 1024])
+@pytest.mark.parametrize("prec", [4, 64, 256, 1024, 2048, 4096])
 def test_log2_interval_encloses_adversarial_n(prec):
     for n in _adversarial_n(_ADVERSARIAL_KS):
         lo, hi = log2_interval(n, prec)
@@ -92,17 +92,48 @@ def test_log2_interval_encloses_adversarial_n(prec):
         assert hi - lo <= 2, (n.bit_length(), prec)
 
 
-@pytest.mark.parametrize("prec", [4, 16, 64, 256, 1024])
+@pytest.mark.parametrize("prec", [4, 16, 64, 256, 1024, 2048, 4096])
 def test_log2_interval_within_two_ulps_of_reference(prec):
-    # dropping prec of the 2*prec + 32 working bits moves each end by 2 ulps
-    # at most
+    # two enclosures of width <= 2 around the same value differ by 2 ulps at
+    # most at either end; the reference costs 2*prec squarings, so the large
+    # precisions take fewer cases
     rng = random.Random(1000 + prec)
-    ns = [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(40)]
-    ks = [1, 2, 3, 31, 32, 33, 64, 255, 1024, 3000]
+    if prec <= 1024:
+        count, ks = 40, [1, 2, 3, 31, 32, 33, 64, 255, 1024, 3000]
+    else:
+        count, ks = 4, [1, 33, 3000]
+    ns = [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(count)]
     for n in ns + _adversarial_n(ks):
         lo, hi = log2_interval(n, prec)
         ref_lo, ref_hi = reference_log2_interval(n, prec)
         assert abs(lo - ref_lo) <= 2 and abs(hi - ref_hi) <= 2, (n.bit_length(), prec)
+
+
+# up to 4096 bits, the first and the last precision of each square-root count
+_ROOT_COUNT_PRECS = sorted(
+    {1, 4096}
+    | {
+        q
+        for p in range(2, 4097)
+        if arith._root_count(p) != arith._root_count(p - 1)
+        for q in (p - 1, p)
+    }
+)
+
+
+@pytest.mark.parametrize("prec", _ROOT_COUNT_PRECS)
+def test_log2_interval_encloses_mantissas_near_one_and_two(prec):
+    # n / 2^k just above 1, where the square roots leave y within a few ulps
+    # of 1 (or exactly 1 past the working precision), and just below 2,
+    # where y is largest
+    ns = [3]
+    for k in (1, 2, 8, 64, prec, prec + 20, prec + 80):
+        ns += [(1 << k) + 1, (1 << k) + 3, (2 << k) - 1, (2 << k) - 3]
+    for n in ns:
+        lo, hi = log2_interval(n, prec)
+        v = _oracle_log2(n, prec)
+        assert lo <= v <= hi, (n.bit_length(), prec)
+        assert hi - lo <= 2, (n.bit_length(), prec)
 
 
 def test_log2_exact_on_powers_of_two():
@@ -111,13 +142,13 @@ def test_log2_exact_on_powers_of_two():
         assert lo == hi == k << 64
 
 
-@pytest.mark.parametrize("prec", [8, 64, 128, 1024])
+@pytest.mark.parametrize("prec", [1, 2, 3, 8, 64, 128, 1024, 2048, 4096])
 def test_ln2_interval(prec):
     _set_dps(prec)
     lo, hi = _ln2_interval(prec)
     v = mp.ln(2) * (1 << prec)
     assert lo <= v <= hi
-    assert hi - lo <= 4
+    assert hi - lo <= 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 6561, 2**64 + 1, 40**40 + 7])
@@ -128,6 +159,19 @@ def test_ln_interval_encloses(n):
     v = mp.ln(n) * (1 << prec)
     assert lo <= v <= hi, n
     assert hi - lo <= 8
+
+
+@pytest.mark.parametrize("prec", [4, 64, 96, 1024, 4096])
+def test_ln_interval_encloses_random_and_edge_n(prec):
+    rng = random.Random(prec)
+    ns = [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(40)]
+    ns += [1 << 4000, (1 << 4000) + 1, (1 << 4001) - 1, 65536, 65537]
+    for n in ns:
+        lo, hi = ln_interval(n, prec)
+        _set_dps(prec + n.bit_length())
+        v = mp.ln(n) * (1 << prec)
+        assert lo <= v <= hi, (n.bit_length(), prec)
+        assert hi - lo <= 2, (n.bit_length(), prec)
 
 
 def test_ln_of_one_is_exact():

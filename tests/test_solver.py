@@ -33,6 +33,7 @@ from selfpower import (
     verify_commuting,
     verify_equal_self_powers,
 )
+from selfpower.cli import _MAX_DEGREE
 
 
 def _divisor_exponent(vec, factors):
@@ -157,11 +158,10 @@ class TestDenominatorBound:
 
     def test_equals_floor_of_4_d_ln_d(self):
         # the bound feeds JSON (`bound`, and `scan_count` through the scan),
-        # so the enclosure it rounds must never move it off the exact floor
-        rng = random.Random(4096)
-        degrees = list(range(2, 4097)) + [rng.randint(4097, 65536) for _ in range(500)]
-        mp.mp.dps = 50
-        for d in degrees:
+        # so the enclosure it rounds must never move it off the exact floor;
+        # every degree up to the parser's cap
+        mp.mp.dps = 40
+        for d in range(2, _MAX_DEGREE + 1):
             assert denominator_bound(d) == int(mp.floor(4 * d * mp.ln(d))), d
 
 
