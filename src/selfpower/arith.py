@@ -500,35 +500,44 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
 #      J ~ w / (2r + 2) terms reach 2^-w;
 #   3. ln 2 = 2 atanh(1/3) is the same series, and log2 x = ln x / ln 2.
 #
-# Every quantity is carried as two fixed-point integers: the lower end rounds
-# each step down (isqrt, floored quotients and products), the upper end each
-# step up.  Each step is monotone in its inputs, so the lower end never
-# exceeds the exact value and the upper end is never below it, whatever w
-# is.  The lower series drops its positive tail.  The upper series stops once
-# its ceiled power P >= 2^w z^(2J+1) is at most 1 and adds 2P, which bounds
-# the tail P / (1 - z^2) for z <= 1/2.
+# Every quantity is a fixed-point integer in units of 2^-w, and only the
+# lower end is computed: one chain of floored square roots and one series of
+# floored terms.  Each step is monotone in its inputs, so the lower end never
+# exceeds the exact value, whatever w is.  The upper end is the lower end
+# plus a proven bound on what the floors and the dropped tail can lose:
 #
-# w decides only the width.  In units of 2^-w the two ends of x differ by 1.
-# A square root has slope <= 1/2 above 1, so each one halves the gap and adds
-# a rounding per end: y's ends differ by less than 4.  z = (y-1)/(y+1) has
-# slope <= 1/2, so z's ends differ by at most 4.  Each series term errs by
-# at most 1.5 per end (its power and its quotient round), the tail bound adds
-# 2 and atanh's slope 1/(1 - z^2) is below 1.04: the sums differ by at most
-# 3J + 7, and ln x's ends by 2^(r+1) (3J + 7).  Dividing by ln 2 > 0.69 and
-# by ln 2's own enclosure, 2 units wide, leaves 2^prec log2 x enclosed in an
-# interval of width at most 2^(prec + r - w) (9J + 25).  With
-# r = isqrt(prec) // 2 + 2 square roots and
-# w = prec + r + _LOG_GUARD_BITS + prec.bit_length(), J <= w / (2r + 2) + 3
-# is about sqrt(prec) and the width stays under 2^-6 ulp: hi - lo is 1, or 2
-# where 2^prec log2(n) lies that close to an integer.  Fewer roots and more
-# terms, isqrt(prec) // 4 + 1, measured about a fifth faster from 64 to 1024
-# bits; ROADMAP item 6 says why that is not taken yet.
+#   y. Start from y_0 = floor(2^w x), one unit below 2^w x at most.  A chain
+#      started at y_0 + 1 and ceiled at every step stays above the exact
+#      roots.  A square root has slope <= 1/2 above 1 and each rounding moves
+#      an end by less than 1, so that chain stays g' < g/2 + 2 above the
+#      floored one, from g_0 = 1: less than 4 after any r.  y_lo + 4
+#      therefore bounds y from above.
+#   z. z = (y - 1)/(y + 1) has slope <= 1/2 for y >= 1: z_lo is floored at
+#      y_lo and z_hi ceiled at y_lo + 4, so z_hi - z_lo <= 3.
+#   atanh. With z2 = floor(z_lo^2 / 2^w) and z_lo/2^w <= 1/2, the floored
+#      power z_lo^(2j+1) errs by d' < z^(2j+1) + d/4 + 1 < 2 units, and its
+#      term floor(P / (2j + 1)) by less than 3.  The sum stops at the first
+#      power that floors to 0; that power is below 2 units, so the dropped
+#      tail is below 2 * 4/3 < 4.  atanh's slope 1/(1 - z^2) is at most 4/3
+#      on [0, 1/2], which covers z_hi - z_lo.  After J terms the exact sum at
+#      any z in [z_lo, z_hi] lies below lo + 3J + 4 + ceil(4 (z_hi - z_lo) / 3).
+#
+# w decides only the width.  z < 2^-(r+1) after r >= 1 roots, so each power
+# is 2r + 2 bits below the last and J <= w / (2r + 2) + 1/2.  The series ends
+# differ by at most 3J + 8, and ln x's ends by 2^(r+1) (3J + 8).  Dividing by
+# ln 2 > 0.69 and by ln 2's own enclosure, 2 units wide, leaves 2^prec
+# log2 x enclosed in an interval of width at most 2^(prec + r - w) (9J + 25).
+# With r = isqrt(prec) // 4 + 1 square roots and
+# w = prec + r + _LOG_GUARD_BITS + prec.bit_length(), J is about
+# 2 sqrt(prec) and the width stays under 2^-6 ulp at every prec from 1 to
+# 2^16 (at prec = 1, J <= 4 and the width is below 61 / 2^13): hi - lo is 1,
+# or 2 where 2^prec log2(n) lies that close to an integer.
 _LOG_GUARD_BITS = 12
 
 
 def _atanh_sums(z_lo: int, z_hi: int, w: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^w atanh(z) <= hi, for z_lo <= 2^w z <= z_hi
-    and 0 <= z <= 1/2."""
+    """(lo, hi) with lo <= 2^w atanh(z) <= hi for every z with
+    z_lo <= 2^w z <= z_hi, where 0 <= z_lo and z_hi <= 2^(w-1)."""
     lo = 0
     z2 = z_lo * z_lo >> w
     power, j = z_lo, 1
@@ -536,31 +545,23 @@ def _atanh_sums(z_lo: int, z_hi: int, w: int) -> tuple[int, int]:
         lo += power // j
         power = power * z2 >> w
         j += 2
-    hi = 0
-    z2 = -(-z_hi * z_hi >> w)
-    power, j = z_hi, 1
-    while power > 1:
-        hi -= -power // j
-        power = -(-power * z2 >> w)
-        j += 2
-    return lo, hi + 2 * power
+    # j = 2J + 1 after J terms
+    return lo, lo + 3 * (j // 2) + 4 - (-4 * (z_hi - z_lo) // 3)
 
 
 def _root_count(prec: int) -> int:
-    return isqrt(prec) // 2 + 2
+    return isqrt(prec) // 4 + 1
 
 
 def _ln_mantissa(n: int, k: int, r: int, w: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^w ln(n / 2^k) <= hi, for 2^k <= n < 2^(k+1),
     through r >= 1 square roots."""
-    y_lo = n >> (k - w) if k >= w else n << (w - k)
-    y_hi = y_lo + 1
+    y = n >> (k - w) if k >= w else n << (w - k)
     for _ in range(r):
-        y_lo = isqrt(y_lo << w)
-        y_hi = isqrt((y_hi << w) - 1) + 1
+        y = isqrt(y << w)
     one = 1 << w
-    z_lo = ((y_lo - one) << w) // (y_lo + one)
-    z_hi = -((-(y_hi - one) << w) // (y_hi + one))
+    z_lo = ((y - one) << w) // (y + one)
+    z_hi = -((-(y + 4 - one) << w) // (y + 4 + one))
     lo, hi = _atanh_sums(z_lo, z_hi, w)
     return lo << (r + 1), hi << (r + 1)
 
@@ -591,9 +592,9 @@ def _log2_interval(n: int, prec: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _ln2_interval(prec: int) -> tuple[int, int]:
-    # ln 2 = 2 atanh(1/3): at w = prec + g bits the two sums differ by at
-    # most 3J + 7 < w + 16 units, and 2^g > 256 prec keeps twice that below
-    # one unit of 2^-prec
+    # ln 2 = 2 atanh(1/3): at w = prec + g bits the series' ends differ by
+    # at most 3J + 6 < w + 16 units, and 2^g > 256 prec keeps twice that
+    # below one unit of 2^-prec
     g = prec.bit_length() + 8
     z = (1 << (prec + g)) // 3
     lo, hi = _atanh_sums(z, z + 1, prec + g)
@@ -625,11 +626,12 @@ _MAX_LOG_PRECISION = 1 << 16
 #: Precision of the first log2 enclosure a comparison tries.
 _LOG_START_PRECISION = 64
 #: Products up to this many bits are materialised before any enclosure.  On
-#: certificate-shaped operands (2 cores, Python 3.11, enclosures computed, not
-#: cached) multiplying out takes about 40 us at 5120 bits against about 95 us
-#: for the 64-bit log2 order, and 70-140 us at 10240 bits against 60-95 us, so
-#: the two now cross between 5120 and 10240 bits; lowering the value is a
-#: separate, measured change (ROADMAP item 6).
+#: certificate-shaped operands (2 cores, Python 3.11, 100 cases, best of 7,
+#: enclosures computed, not cached) multiplying out takes 20-37 us at 5120
+#: bits, as long as the 64-bit log2 order (21-37 us), and 72-113 us at 10240
+#: bits against 29-35 us, so the two cross near 5120 bits.  The value stays:
+#: on certify (seed 2026) 18 of the first 12,347 comparisons fall between
+#: 5120 and 10240 bits, too few for any workload to show a retune.
 _DIRECT_BITS = 10240
 
 

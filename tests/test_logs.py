@@ -14,7 +14,9 @@ import pytest
 from selfpower import DomainError
 from selfpower import arith
 from selfpower.arith import (
+    _atanh_sums,
     _ln2_interval,
+    _ln_mantissa,
     floor_of_multiple_ln,
     ln_interval,
     log2_interval,
@@ -54,6 +56,49 @@ def reference_log2_interval(n, prec):
     return ends[0], ends[1] + 1
 
 
+def reference_atanh_sums(z_lo, z_hi, w):
+    """Two-sided 2^w atanh(z) for z_lo <= 2^w z <= z_hi, 0 <= z <= 1/2: floored
+    terms for the lower end; ceiled terms and the tail bound 2P for the upper
+    end, P the first ceiled power <= 1."""
+    lo = 0
+    z2 = z_lo * z_lo >> w
+    power, j = z_lo, 1
+    while power:
+        lo += power // j
+        power = power * z2 >> w
+        j += 2
+    hi = 0
+    z2 = -(-z_hi * z_hi >> w)
+    power, j = z_hi, 1
+    while power > 1:
+        hi -= -power // j
+        power = -(-power * z2 >> w)
+        j += 2
+    return lo, hi + 2 * power
+
+
+def reference_root_chains(n, k, r, w):
+    """r square roots of 2^w n / 2^k, floored from below and ceiled from one
+    unit above."""
+    y_lo = n >> (k - w) if k >= w else n << (w - k)
+    y_hi = y_lo + 1
+    for _ in range(r):
+        y_lo = isqrt(y_lo << w)
+        y_hi = isqrt((y_hi << w) - 1) + 1
+    return y_lo, y_hi
+
+
+def reference_ln_mantissa(n, k, r, w):
+    """Enclosure of 2^w ln(n / 2^k) from both root chains and both series,
+    every step rounded towards its own end."""
+    y_lo, y_hi = reference_root_chains(n, k, r, w)
+    one = 1 << w
+    z_lo = ((y_lo - one) << w) // (y_lo + one)
+    z_hi = -((-(y_hi - one) << w) // (y_hi + one))
+    lo, hi = reference_atanh_sums(z_lo, z_hi, w)
+    return lo << (r + 1), hi << (r + 1)
+
+
 def _adversarial_n(ks):
     # n just off a power of two, around 2^(k + 1/2), and powers of 3: their
     # logarithms lie close to multiples of 2^-prec, where the two rounding
@@ -72,7 +117,11 @@ _ADVERSARIAL_KS = (
 )
 
 
-@pytest.mark.parametrize("prec", [4, 8, 16, 53, 64, 128, 512, 1024, 2048, 4096])
+# 1-16 bits: the guard bits are tightest there, with few working bits and roots
+_TINY_PRECS = list(range(1, 17))
+
+
+@pytest.mark.parametrize("prec", _TINY_PRECS + [53, 64, 128, 512, 1024, 2048, 4096])
 def test_log2_interval_encloses(prec):
     rng = random.Random(prec)
     for _ in range(200):
@@ -109,31 +158,57 @@ def test_log2_interval_within_two_ulps_of_reference(prec):
         assert abs(lo - ref_lo) <= 2 and abs(hi - ref_hi) <= 2, (n.bit_length(), prec)
 
 
-# up to 4096 bits, the first and the last precision of each square-root count
+def _steps(f):
+    return {q for p in range(2, 4097) if f(p) != f(p - 1) for q in (p - 1, p)}
+
+
+# up to 4096 bits, the first and the last precision of each square-root count,
+# and of each half-step isqrt(p) // 2 in between
 _ROOT_COUNT_PRECS = sorted(
-    {1, 4096}
-    | {
-        q
-        for p in range(2, 4097)
-        if arith._root_count(p) != arith._root_count(p - 1)
-        for q in (p - 1, p)
-    }
+    {1, 4096} | _steps(arith._root_count) | _steps(lambda p: isqrt(p) // 2)
 )
 
 
 @pytest.mark.parametrize("prec", _ROOT_COUNT_PRECS)
 def test_log2_interval_encloses_mantissas_near_one_and_two(prec):
     # n / 2^k just above 1, where the square roots leave y within a few ulps
-    # of 1 (or exactly 1 past the working precision), and just below 2,
-    # where y is largest
+    # of 1 (or exactly 1 past the working precision), just below 2, where y
+    # is largest, and random in between
+    rng = random.Random(prec)
     ns = [3]
     for k in (1, 2, 8, 64, prec, prec + 20, prec + 80):
         ns += [(1 << k) + 1, (1 << k) + 3, (2 << k) - 1, (2 << k) - 3]
+        ns += [(1 << k) | rng.getrandbits(k) for _ in range(2)]
+    r = arith._root_count(prec)
+    w = prec + r + arith._LOG_GUARD_BITS + prec.bit_length()
     for n in ns:
         lo, hi = log2_interval(n, prec)
         v = _oracle_log2(n, prec)
         assert lo <= v <= hi, (n.bit_length(), prec)
         assert hi - lo <= 2, (n.bit_length(), prec)
+        # the upper end rests on the floored root chain plus 4 and on a bound
+        # for the floored series: the ceiled chain must end within that, the
+        # lower ends are the same computation, and the upper end is the wider
+        k = n.bit_length() - 1
+        y_lo, y_hi = reference_root_chains(n, k, r, w)
+        assert y_lo < y_hi <= y_lo + 4, (n.bit_length(), prec)
+        lo, hi = _ln_mantissa(n, k, r, w)
+        ref_lo, ref_hi = reference_ln_mantissa(n, k, r, w)
+        assert lo == ref_lo and hi >= ref_hi, (n.bit_length(), prec)
+
+
+@pytest.mark.parametrize("w", [8, 16, 64, 256, 1024, 4096])
+def test_one_sided_atanh_sums_cover_the_ceiled_series(w):
+    rng = random.Random(w)
+    half = 1 << (w - 1)
+    # z up to 1/2, where the series is longest, and z of every magnitude
+    zs = [0, 1, 2, half // 3, half - 3] + [rng.randrange(half - 3) for _ in range(12)]
+    zs += [rng.randrange(1 << max(1, w - rng.randrange(1, w))) for _ in range(48)]
+    for z_lo in zs:
+        for spread in range(4):
+            lo, hi = _atanh_sums(z_lo, z_lo + spread, w)
+            ref_lo, ref_hi = reference_atanh_sums(z_lo, z_lo + spread, w)
+            assert lo == ref_lo and hi >= ref_hi, (z_lo, spread, w)
 
 
 def test_log2_exact_on_powers_of_two():
@@ -142,7 +217,7 @@ def test_log2_exact_on_powers_of_two():
         assert lo == hi == k << 64
 
 
-@pytest.mark.parametrize("prec", [1, 2, 3, 8, 64, 128, 1024, 2048, 4096])
+@pytest.mark.parametrize("prec", _TINY_PRECS + [64, 128, 1024, 2048, 4096])
 def test_ln2_interval(prec):
     _set_dps(prec)
     lo, hi = _ln2_interval(prec)
@@ -161,7 +236,7 @@ def test_ln_interval_encloses(n):
     assert hi - lo <= 8
 
 
-@pytest.mark.parametrize("prec", [4, 64, 96, 1024, 4096])
+@pytest.mark.parametrize("prec", _TINY_PRECS + [64, 96, 1024, 4096])
 def test_ln_interval_encloses_random_and_edge_n(prec):
     rng = random.Random(prec)
     ns = [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(40)]
