@@ -35,6 +35,21 @@ Factorization = tuple[tuple[int, int], ...]
 BIT_CAP = 1 << 20
 
 
+def check_bit_cap(bits: int, subject: str, *values: int | Fraction) -> None:
+    """Refuse a construction estimated at more than BIT_CAP bits.
+
+    The ResourceError reads '<subject> about <bits> bits, past the bit cap of
+    <BIT_CAP> bits', where subject is a format string ending in its verb
+    ('{}**{} needs'), filled with number_text of values only on refusal.
+    """
+    if bits > BIT_CAP:
+        raise ResourceError(
+            f"{subject.format(*map(number_text, values))} about "
+            f"{number_text(bits)} bits, past the bit cap of "
+            f"{number_text(BIT_CAP)} bits"
+        )
+
+
 class Ordering(enum.Enum):
     """Result of an exact three-way comparison."""
 
@@ -616,8 +631,9 @@ def ln_interval(n: int, prec: int) -> tuple[int, int]:
     return (k * ln2_lo + ln_lo) >> shift, -((-(k * ln2_hi + ln_hi)) >> shift)
 
 
-def floor_of_multiple_ln(mult: int, n: int, prec: int = 96) -> int:
+def floor_of_multiple_ln(mult: int, n: int) -> int:
     """floor(mult * ln n) computed from the upper enclosure (never undercounts)."""
+    prec = 96
     _, hi = ln_interval(n, prec)
     return (mult * hi) >> prec
 

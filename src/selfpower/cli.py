@@ -110,151 +110,110 @@ def format_fraction(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[tuple[str, int | str | None, int]]:
-    tokens: list[tuple[str, int | str | None, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", _int_literal(text[i:j], i), i))
-            i = j
-            continue
-        if ch in "xX":
-            tokens.append(("x", None, i))
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-# degree ceiling for parsed polynomials, enforced on every exponent and every
-# product; enumeration beyond this is infeasible anyway
+# degree ceiling for parsed polynomials, enforced on every exponent, product
+# and sum; enumeration beyond this is infeasible anyway
 _MAX_DEGREE = 1 << 16
 # coefficient ceiling in bits, enforced on every power before it is formed and
-# on every product; it admits 1000003^3000 (59,795 bits), and factoring and
-# root extraction on coefficients this long take seconds, not minutes
+# on every product and sum; it admits 1000003^3000 (59,795 bits), and factoring
+# and root extraction on coefficients this long take seconds, not minutes
 _MAX_COEFFICIENT_BITS = 1 << 16
 
+# one token after optional whitespace: an integer literal, x or an operator;
+# group 3 is a character that starts no token
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([-+*^xX])|(\S))")
 
-class _ExpressionParser:
-    # poly := ['+'|'-'] term (('+'|'-') term)*
-    # term := factor ('*' factor)*
-    # factor := atom ['^' INT]
-    # atom := INT | 'x'
-    #
-    # Every atom, hence every factor and term, is a monomial c*x^n, carried as
-    # (c, n): a power is one integer power and a degree product, a product
-    # multiplies coefficients and adds degrees.  The sum collects like terms
-    # by degree and becomes a dense coefficient list only at the end.
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _check_monomial(what: str, c: int, n: int, position: int) -> None:
+    # the one cap check for a product (at its '*') and a sum (at its sign)
+    if n > _MAX_DEGREE:
+        raise ParseError(
+            f"{what} of degree {n} exceeds the supported degree {_MAX_DEGREE}",
+            position=position,
+        )
+    if c.bit_length() > _MAX_COEFFICIENT_BITS:
+        raise ParseError(
+            f"{what} coefficient of {c.bit_length()} bits exceeds the supported "
+            f"coefficient size of {_MAX_COEFFICIENT_BITS} bits",
+            position=position,
+        )
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _parse_expression(text: str) -> list[int]:
+    """Dense coefficients of poly := ['+'|'-'] term (('+'|'-') term)*, where
+    term := factor ('*' factor)* and factor := (INT | 'x') ['^' INT].
 
-    def parse(self) -> list[int]:
-        terms = self.expression()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", position=pos)
-        coeffs = [0] * (max(terms) + 1)
-        for n, c in terms.items():
-            coeffs[n] = c
-        return coeffs
+    Every factor and term is a monomial c*x^n, carried as (c, n); like terms
+    are collected by degree.  A character or literal the tokens cannot hold
+    is refused before any grammar error, wherever it stands.
+    """
+    tokens = []  # (position, int value or operator), then (len(text), "")
+    for m in _TOKEN_RE.finditer(text):
+        digits, op, bad = m.groups()
+        pos = m.start(m.lastindex)
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", position=pos)
+        tokens.append((pos, op.lower() if op else _int_literal(digits, pos)))
+    tokens.append((len(text), ""))
 
-    def expression(self) -> dict[int, int]:
-        kind, value, _ = self.peek()
-        sign = 1
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        terms: dict[int, int] = {}
+    terms: dict[int, int] = {}
+    i, sign, joint = 0, 1, None  # joint: position of the sign joining a term
+    if tokens[0][1] in ("+", "-"):
+        sign, i = (-1 if tokens[0][1] == "-" else 1), 1
+    while True:
+        c, n, star = 1, 0, None  # star: position of the '*' before a factor
         while True:
-            c, n = self.term()
-            terms[n] = terms.get(n, 0) + sign * c
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = -1 if value == "-" else 1
+            pos, atom = tokens[i]
+            if atom == "x":
+                fc, fn = 1, 1
+            elif type(atom) is int:
+                fc, fn = atom, 0
             else:
-                return terms
-
-    def term(self) -> tuple[int, int]:
-        c, n = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                fc, fn = self.factor()
-                c, n = c * fc, n + fn
-                if n > _MAX_DEGREE:
+                raise ParseError("expected an integer coefficient or x", position=pos)
+            i += 1
+            if tokens[i][1] == "^":
+                pos, e = tokens[i + 1]
+                i += 2
+                if type(e) is not int:
                     raise ParseError(
-                        f"product of degree {n} exceeds the supported degree "
-                        f"{_MAX_DEGREE}",
+                        "exponent must be a nonnegative integer", position=pos
+                    )
+                if e > _MAX_DEGREE:
+                    raise ParseError(
+                        f"exponent {e} exceeds the supported degree {_MAX_DEGREE}",
                         position=pos,
                     )
-                if c.bit_length() > _MAX_COEFFICIENT_BITS:
+                # |fc|^e has more than (bit_length(fc) - 1) * e bits, so a
+                # power far past the cap is refused before it is formed
+                power = None
+                if (fc.bit_length() - 1) * e < _MAX_COEFFICIENT_BITS:
+                    power = fc**e
+                if power is None or power.bit_length() > _MAX_COEFFICIENT_BITS:
                     raise ParseError(
-                        f"product coefficient of {c.bit_length()} bits exceeds the "
-                        f"supported coefficient size of {_MAX_COEFFICIENT_BITS} bits",
+                        f"power {number_text(fc)}^{e} exceeds the supported "
+                        f"coefficient size of {_MAX_COEFFICIENT_BITS} bits",
                         position=pos,
                     )
-            else:
-                return c, n
-
-    def factor(self) -> tuple[int, int]:
-        c, n = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            kind, value, pos = self.take()
-            if kind != "int":
-                raise ParseError(
-                    "exponent must be a nonnegative integer", position=pos
-                )
-            if value > _MAX_DEGREE:
-                raise ParseError(
-                    f"exponent {value} exceeds the supported degree {_MAX_DEGREE}",
-                    position=pos,
-                )
-            # |c|^value has more than (bit_length(c) - 1) * value bits, so a
-            # power far past the cap is refused before it is formed
-            if (c.bit_length() - 1) * value < _MAX_COEFFICIENT_BITS:
-                power = c**value
-                if power.bit_length() <= _MAX_COEFFICIENT_BITS:
-                    return power, n * value
-            raise ParseError(
-                f"power {number_text(c)}^{value} exceeds the supported "
-                f"coefficient size of {_MAX_COEFFICIENT_BITS} bits",
-                position=pos,
-            )
-        return c, n
-
-    def atom(self) -> tuple[int, int]:
-        kind, value, pos = self.take()
-        if kind == "int":
-            return value, 0
-        if kind == "x":
-            return 1, 1
-        raise ParseError("expected an integer coefficient or x", position=pos)
+                fc, fn = power, fn * e
+            c, n = c * fc, n + fn
+            if star is not None:
+                _check_monomial("product", c, n, star)
+            pos, op = tokens[i]
+            if op != "*":
+                break
+            star, i = pos, i + 1
+        total = terms.get(n, 0) + sign * c
+        if joint is not None:
+            _check_monomial("sum", total, n, joint)
+        terms[n] = total
+        if op not in ("+", "-"):
+            break
+        joint, sign, i = pos, (-1 if op == "-" else 1), i + 1
+    if op != "":
+        raise ParseError("unexpected trailing input", position=pos)
+    coeffs = [0] * (max(terms) + 1)
+    for n, c in terms.items():
+        coeffs[n] = c
+    return coeffs
 
 
 def _parse_coefficient_list(text: str) -> list[int]:
@@ -286,7 +245,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
     if cleaned.startswith("["):
         coeffs = _parse_coefficient_list(cleaned)
     else:
-        coeffs = _ExpressionParser(cleaned).parse()
+        coeffs = _parse_expression(cleaned)
     if all(c == 0 for c in coeffs):
         raise ParseError("zero polynomial", position=0)
     return IntPolynomial.from_coefficients(coeffs)

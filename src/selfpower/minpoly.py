@@ -15,8 +15,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .arith import BIT_CAP, _as_perfect_power, factorize, integer_kth_root
-from .errors import DomainError, ResourceError, number_text
+from .arith import _as_perfect_power, check_bit_cap, factorize, integer_kth_root
+from .errors import DomainError, number_text
 
 
 class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
@@ -103,14 +103,8 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     both roots are integers; no prime factorization is needed.
     """
     g = _exponent_gcd(a, b)
-    est_bits = (a // g + 1) * (b.bit_length() + a.bit_length())
-    if est_bits > BIT_CAP:
-        ab = f"{number_text(a)}/{number_text(b)}"
-        raise ResourceError(
-            f"minimal polynomial of ({ab})^({ab}) needs about "
-            f"{number_text(est_bits)} bits, past the bit cap of "
-            f"{number_text(BIT_CAP)} bits"
-        )
+    bits = (a // g + 1) * (b.bit_length() + a.bit_length())
+    check_bit_cap(bits, "minimal polynomial of ({0}/{1})^({0}/{1}) needs", a, b)
     s = integer_kth_root(b, g) ** a
     r = integer_kth_root(a, g) ** a
     # r and s are powers of the coprime a and b, so gcd(r, s) = 1 holds

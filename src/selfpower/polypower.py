@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .arith import BIT_CAP, integer_kth_root, log2_interval
+from .arith import check_bit_cap, integer_kth_root, log2_interval
 from .errors import DomainError, ResourceError, number_text
 from .minpoly import IntPolynomial
 
@@ -29,11 +29,22 @@ class RationalityVerdict(namedtuple("RationalityVerdict", "exponent rational")):
 
 
 def eval_polynomial(poly: IntPolynomial, x: Fraction) -> Fraction:
-    """Exact value P(x); the denominator always divides den(x)^deg(P)."""
-    acc = Fraction(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
+    """Exact value P(x); the denominator always divides den(x)^deg(P).
+
+    A value estimated past the bit cap, at deg(P) times the bits of x's
+    numerator or denominator plus those of P's largest coefficient, is
+    refused with ResourceError before it is computed.
+    """
+    a, b = x.numerator, x.denominator
+    coeffs = poly.coeffs
+    bits = poly.degree * max(a.bit_length(), b.bit_length())
+    check_bit_cap(bits + max(map(int.bit_length, coeffs)), "P({}) needs", x)
+    # integer Horner on b^deg(P) * P(a/b) = sum of c_k a^k b^(deg(P) - k)
+    acc, b_power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        b_power *= b
+        acc = acc * a + c * b_power
+    return Fraction(acc, b_power)
 
 
 def rational_power(base: Fraction, exponent: Fraction) -> Fraction | None:
@@ -56,12 +67,7 @@ def rational_power(base: Fraction, exponent: Fraction) -> Fraction | None:
     if root_v is None:
         return None
     bits = abs(p) * max(root_u.bit_length(), root_v.bit_length())
-    if bits > BIT_CAP:
-        raise ResourceError(
-            f"{number_text(base)}**{number_text(exponent)} needs about "
-            f"{number_text(bits)} bits, past the bit cap of "
-            f"{number_text(BIT_CAP)} bits"
-        )
+    check_bit_cap(bits, "{}**{} needs", base, exponent)
     return Fraction(root_u, root_v) ** p
 
 

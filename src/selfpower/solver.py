@@ -21,8 +21,8 @@ from functools import cache
 from math import gcd, isqrt
 
 from .arith import (
-    BIT_CAP,
     Ordering,
+    check_bit_cap,
     compare_self_power_to_root,
     factorize,
     ln_interval,
@@ -31,7 +31,6 @@ from .arith import (
 )
 from .errors import (
     DomainError,
-    ResourceError,
     TargetShapeError,
     number_text,
 )
@@ -141,8 +140,9 @@ def integer_scan(target: AlgebraicTarget) -> tuple[int | None, int]:
     return found, count
 
 
-def _ceil_ln_alpha_upper(d: int, r: int, s: int, prec: int = 96) -> int:
+def _ceil_ln_alpha_upper(d: int, r: int, s: int) -> int:
     # rigorous upper bound for ceil(ln alpha), alpha = (r/s)^(1/d)
+    prec = 96
     _, r_hi = ln_interval(r, prec)
     s_lo, _ = ln_interval(s, prec)
     return -((s_lo - r_hi) // (d << prec))
@@ -326,12 +326,7 @@ def equal_self_power_pair(m: int) -> tuple[Fraction, Fraction]:
     if m < 1:
         raise DomainError("m must be >= 1")
     bits = (m + 1) * (m + 1).bit_length()
-    if bits > BIT_CAP:
-        raise ResourceError(
-            f"pair components for m = {number_text(m)} need about "
-            f"{number_text(bits)} bits, past the bit cap of "
-            f"{number_text(BIT_CAP)} bits"
-        )
+    check_bit_cap(bits, "pair components for m = {} need", m)
     base = Fraction(m, m + 1)
     return base**m, base ** (m + 1)
 

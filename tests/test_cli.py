@@ -155,6 +155,14 @@ class TestParsePolynomial:
             "size of 65536 bits (at position 9)"
         )
         assert parse_polynomial("1000003^3000*x^2 - 2").coeffs == (-2, 0, 1000003**3000)
+        # like terms: the sum is refused at the sign that joins it
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("2^65535*x + 2^65535*x - 1")
+        assert str(exc.value) == (
+            "sum coefficient of 65537 bits exceeds the supported coefficient "
+            "size of 65536 bits (at position 10)"
+        )
+        assert parse_polynomial("2^65535*x - 2^65535*x + x").coeffs == (0, 1)
 
     def test_large_powers_are_fast(self):
         start = time.perf_counter()
@@ -164,6 +172,36 @@ class TestParsePolynomial:
         assert parse_polynomial("x^65536 - 3").degree == 65536
         assert parse_polynomial("3^4*x^2*2 - 2^3*5").coeffs == (-40, 0, 162)
         assert time.perf_counter() - start < 1.0
+
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789xX+-*^ \t−[],²٣", max_size=30),
+            st.lists(
+                st.sampled_from(
+                    ["x", "X", "2", "17", "0", "65536", "9999", "+", "-", "*", "^", " "]
+                ),
+                max_size=16,
+            ).map("".join),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_any_text_parses_and_round_trips_or_names_a_position(self, text):
+        stripped = text.replace("−", "-").strip()
+        try:
+            poly = parse_polynomial(text)
+        except ParseError as exc:
+            assert exc.position is not None, exc
+            assert 0 <= exc.position <= len(stripped), exc
+            return
+        rendered = format_polynomial(poly)
+        try:
+            assert parse_polynomial(rendered) == poly
+        except ParseError as exc:
+            # the rendering writes every digit; reading it back is bound by
+            # the interpreter's int-from-str digit limit
+            assert "interpreter's limit" in str(exc)
+            with _all_digits():
+                assert parse_polynomial(rendered) == poly
 
     @given(
         st.lists(st.integers(-99, 99), min_size=1, max_size=7).filter(
@@ -382,6 +420,14 @@ _ADVERSARIAL = [
         ["solve", "--alpha", "1000003^3000*1000033*x^2 - 2"], 30, id="huge-cofactor"
     ),
     pytest.param(["solve", "--alpha", "3^40000*x^2 - 2"], 30, id="huge-small-prime-power"),
+    pytest.param(
+        ["solve", "--alpha", "2^65535*x + 2^65535*x - 1"], 30, id="sum-past-cap"
+    ),
+    pytest.param(
+        ["powcheck", "--poly", "x^65536 + 1", "--x", "99999/99998"],
+        10,
+        id="value-past-bit-cap",
+    ),
     pytest.param(
         ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
     ),

@@ -177,7 +177,6 @@ class TestAgainstFactorization:
         # at the real cap an answer near it costs both constructions ~0.5 s;
         # at 2^16 bits every answer is small and many pairs meet the cap
         monkeypatch.setattr(arith, "BIT_CAP", 1 << 16)
-        monkeypatch.setattr(minpoly, "BIT_CAP", 1 << 16)
 
     def test_matches_reference_on_coprime_grid(self):
         for a, b in _coprime_grid():

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfpower import polypower
+from selfpower import arith, polypower
 from selfpower import (
     DomainError,
     IntPolynomial,
     ResourceError,
     analyze_poly_power,
     enumerate_rational_powers,
+    equal_self_power_pair,
     eval_polynomial,
     leading_denominator_bound,
+    minimal_polynomial_of_self_power,
     rational_power,
     zero_exponent_denominator_bound,
 )
@@ -45,6 +47,33 @@ class TestEvalPolynomial:
         value = eval_polynomial(poly, Fraction(x))
         b = Fraction(x).denominator
         assert b**poly.degree % value.denominator == 0
+        # Horner over Fractions, the evaluation the integer one replaced
+        reference = Fraction(0)
+        for c in reversed(coeffs):
+            reference = reference * x + c
+        assert value == reference
+
+    def test_value_past_the_bit_cap_is_refused_before_it_is_formed(self):
+        # 65536 * 17 + 1 bits, refused before the first multiplication
+        poly = IntPolynomial((1,) + (0,) * 65535 + (1,))
+        with pytest.raises(ResourceError) as exc:
+            eval_polynomial(poly, Fraction(99999, 99998))
+        assert str(exc.value) == (
+            "P(99999/99998) needs about 1114113 bits, past the bit cap of "
+            "1048576 bits"
+        )
+        assert eval_polynomial(poly, Fraction(3, 2)) == Fraction(3, 2) ** 65536 + 1
+
+    def test_the_one_bit_cap_reaches_every_refusal(self, monkeypatch):
+        monkeypatch.setattr(arith, "BIT_CAP", 8)
+        with pytest.raises(ResourceError, match="past the bit cap of 8 bits"):
+            eval_polynomial(P_X2_PLUS_1, Fraction(17))
+        with pytest.raises(ResourceError, match="past the bit cap of 8 bits"):
+            rational_power(Fraction(4, 9), Fraction(9, 2))
+        with pytest.raises(ResourceError, match="past the bit cap of 8 bits"):
+            equal_self_power_pair(3)
+        with pytest.raises(ResourceError, match="past the bit cap of 8 bits"):
+            minimal_polynomial_of_self_power(5, 3)
 
 
 class TestRationalPower:
