@@ -100,6 +100,14 @@ def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _scan(q, noun: str) -> tuple[Fraction, int | None, int]:
+    """Fraction(q) after refusing q <= 1, and the integer scan of x^x = q."""
+    q = Fraction(q)
+    if q <= 1:
+        raise UnsupportedInputError(f"{noun} covers q > 1 only, got {number_text(q)}")
+    return (q, *integer_scan(AlgebraicTarget.from_rational(q)))
+
+
 def bisect_preimage(q, width) -> tuple[Fraction, Fraction]:
     """Exact isolating interval for the real x > 1 with x^x = q.
 
@@ -108,12 +116,7 @@ def bisect_preimage(q, width) -> tuple[Fraction, Fraction]:
     growth.  Refused when q = n^n has an exact integer solution, and when
     width needs more than _MAX_HALVINGS halvings.
     """
-    q = Fraction(q)
-    if q <= 1:
-        raise UnsupportedInputError(
-            f"bisection covers q > 1 only, got {number_text(q)}"
-        )
-    found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
+    q, found, scanned = _scan(q, "bisection")
     if found is not None:
         raise DomainError(
             f"x^x = {number_text(q)} has the exact solution x = {found}; "
@@ -137,12 +140,7 @@ def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
 def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     """The integer n with n^n = q when one exists; otherwise a transcendence
     certificate for the unique real x > 1 with x^x = q.  Requires q > 1."""
-    q = Fraction(q)
-    if q <= 1:
-        raise UnsupportedInputError(
-            f"classification covers q > 1 only, got {number_text(q)}"
-        )
-    found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
+    q, found, scanned = _scan(q, "classification")
     if found is not None:
         return found
     lo, hi = _bisect(q, Fraction(width), scanned)

@@ -39,6 +39,17 @@ from .solver import (
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
+# degree ceiling for parsed polynomials, enforced on every exponent, product
+# and sum; enumeration beyond this is infeasible anyway
+_MAX_DEGREE = 1 << 16
+# ceiling in bits for every integer literal, and for every coefficient: each
+# power is checked before it is formed, each product and sum as it is formed;
+# it admits 1000003^3000 (59,795 bits), and factoring and root extraction on
+# coefficients this long take seconds, not minutes
+_MAX_COEFFICIENT_BITS = 1 << 16
+# decimal digits of 2^65536 - 1, the largest integer within the bit ceiling
+_MAX_LITERAL_DIGITS = 19_729
+
 
 def _normalize_minus(text: str) -> str:
     # accept the unicode minus sign U+2212 anywhere a hyphen works
@@ -48,44 +59,57 @@ def _normalize_minus(text: str) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' with an optional leading minus into a reduced fraction."""
     cleaned = _normalize_minus(text).strip()
-    m = _RATIONAL_RE.fullmatch(cleaned)
-    if m is None:
-        for i, ch in enumerate(cleaned):
-            if not (ch.isdecimal() or ch in "+-/"):
-                raise ParseError(f"not a rational: {text!r}", position=i)
-        raise ParseError(f"not a rational: {text!r}", position=len(cleaned))
-    if "/" in cleaned:
-        num, den = cleaned.split("/", 1)
-        slash = cleaned.index("/")
-        numerator = _int_literal(num, 0)
-        denominator = _int_literal(den, slash + 1)
-        if denominator == 0:
-            raise ParseError(f"zero denominator in {text!r}", position=slash + 1)
-        return Fraction(numerator, denominator)
-    return Fraction(_int_literal(cleaned, 0))
+    if _RATIONAL_RE.fullmatch(cleaned) is None:
+        bad = (i for i, ch in enumerate(cleaned) if not (ch.isdecimal() or ch in "+-/"))
+        raise ParseError(f"not a rational: {text!r}", position=next(bad, len(cleaned)))
+    num, slash, den = cleaned.partition("/")
+    numerator = _int_literal(num, 0)
+    if not slash:
+        return Fraction(numerator)
+    denominator = _int_literal(den, len(num) + 1)
+    if denominator == 0:
+        raise ParseError(f"zero denominator in {text!r}", position=len(num) + 1)
+    return Fraction(numerator, denominator)
 
 
-def _int_literal(digits: str, position: int) -> int:
-    """The value of a decimal literal already checked to be [+-]digits.
-
-    A literal longer than the interpreter's int-from-str digit limit
-    (Python >= 3.10.7) is refused with a ParseError naming the limit;
-    interpreters without the limit parse every length.
-    """
-    try:
-        return int(digits)
-    except ValueError:
+def _int_literal(digits: str, position: int | None) -> int:
+    """The value of a decimal literal of at most _MAX_COEFFICIENT_BITS bits,
+    its digits counted before converting; the interpreter's int-from-str
+    digit limit (Python >= 3.10.7) is lifted for the conversion, so no
+    environment setting changes what is accepted."""
+    count = len(digits.lstrip("+-"))
+    value = None
+    # the interpreter allows no digit limit below 640, so only longer
+    # literals pay for lifting it
+    if count <= 640:
+        value = int(digits)
+    elif count <= _MAX_LITERAL_DIGITS:
+        with _all_digits():
+            value = int(digits)
+    if value is None or value.bit_length() > _MAX_COEFFICIENT_BITS:
+        size = f"{count} digits" if value is None else f"{value.bit_length()} bits"
         raise ParseError(
-            f"integer literal of {len(digits.lstrip('+-'))} digits exceeds the "
-            f"interpreter's limit of {sys.get_int_max_str_digits()} digits",
+            f"integer literal of {size} exceeds the supported size of "
+            f"{_MAX_COEFFICIENT_BITS} bits ({_MAX_LITERAL_DIGITS} digits)",
             position=position,
-        ) from None
+        )
+    return value
+
+
+def _int_option(text: str) -> int:
+    """argparse type of the integer options: int()'s syntax, _int_literal's caps."""
+    try:
+        return _int_literal(text, None)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 @contextmanager
 def _all_digits():
-    # output writes every digit: lifts the interpreter's int-to-str digit
-    # limit (Python >= 3.10.7) for values whose size the bit cap bounds
+    # lifts the interpreter's int/str digit limit (Python >= 3.10.7) for
+    # literals and output, whose sizes the literal and bit caps bound
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -109,14 +133,6 @@ def format_fraction(q: Fraction) -> str:
 # polynomial parsing: expression grammar and bracketed coefficient lists
 # ---------------------------------------------------------------------------
 
-
-# degree ceiling for parsed polynomials, enforced on every exponent, product
-# and sum; enumeration beyond this is infeasible anyway
-_MAX_DEGREE = 1 << 16
-# coefficient ceiling in bits, enforced on every power before it is formed and
-# on every product and sum; it admits 1000003^3000 (59,795 bits), and factoring
-# and root extraction on coefficients this long take seconds, not minutes
-_MAX_COEFFICIENT_BITS = 1 << 16
 
 # one token after optional whitespace: an integer literal, x or an operator;
 # group 3 is a character that starts no token
@@ -252,13 +268,10 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
 
 @_all_digits()
-def format_polynomial(poly: IntPolynomial) -> str:
-    """Canonical rendering like '9*x^3 - 4'; reparsing gives the same polynomial."""
+def _render_terms(terms) -> str:
+    """Text of the nonzero (degree, coefficient) terms, highest degree first."""
     parts: list[str] = []
-    for k in range(poly.degree, -1, -1):
-        c = poly.coeffs[k]
-        if c == 0:
-            continue
+    for k, c in terms:
         mag = abs(c)
         if k == 0:
             body = str(mag)
@@ -272,13 +285,17 @@ def format_polynomial(poly: IntPolynomial) -> str:
     return " ".join(parts)
 
 
-@_all_digits()
+def format_polynomial(poly: IntPolynomial) -> str:
+    """Canonical rendering like '9*x^3 - 4'; reparsing gives the same polynomial."""
+    return _render_terms(
+        (k, poly.coeffs[k]) for k in range(poly.degree, -1, -1) if poly.coeffs[k]
+    )
+
+
 def _format_binomial(binomial: BinomialMinPoly) -> str:
     """format_polynomial of s*x^d - r without forming its d + 1 coefficients,
     so a degree like 2^128 + 1 renders too."""
-    xpart = "x" if binomial.d == 1 else f"x^{binomial.d}"
-    lead = xpart if binomial.s == 1 else f"{binomial.s}*{xpart}"
-    return f"{lead} - {binomial.r}"
+    return _render_terms(((binomial.d, binomial.s), (0, -binomial.r)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +311,9 @@ def _parse_alpha(text: str) -> AlgebraicTarget:
 
 
 def _describe_target(target: AlgebraicTarget) -> str:
-    if target.is_rational:
-        return format_fraction(target.value)
-    return f"positive root of {_format_binomial(target.root)}"
+    if target.d == 1:
+        return format_fraction(Fraction(target.r, target.s))
+    return f"positive root of {_format_binomial(target)}"
 
 
 def _cmd_solve(args):
@@ -305,21 +322,17 @@ def _cmd_solve(args):
     rendered = [format_fraction(x) for x in result.solutions]
     payload = {
         "alpha": _describe_target(target),
-        "method": "divisors" if not target.is_rational else "enumeration",
+        "method": "enumeration" if target.d == 1 else "divisors",
         "scan_count": result.scan_count,
         "solutions": rendered,
     }
+    found = "no positive rational solutions"
     if rendered:
-        human = (
-            f"x^x = {payload['alpha']}: solutions "
-            + ", ".join(rendered)
-            + f" ({result.scan_count} tests, {payload['method']})"
-        )
-    else:
-        human = (
-            f"x^x = {payload['alpha']}: no positive rational solutions "
-            f"({result.scan_count} tests, {payload['method']})"
-        )
+        found = "solutions " + ", ".join(rendered)
+    human = (
+        f"x^x = {payload['alpha']}: {found} "
+        f"({result.scan_count} tests, {payload['method']})"
+    )
     return payload, human
 
 
@@ -520,17 +533,19 @@ def build_parser() -> argparse.ArgumentParser:
         "powsearch", parents=[common], help="sweep x = a/b for rational x^P(x)"
     )
     p.add_argument("--poly", required=True, help="integer polynomial P")
-    p.add_argument("--a-max", type=int, required=True, help="numerator sweep limit")
+    p.add_argument(
+        "--a-max", type=_int_option, required=True, help="numerator sweep limit"
+    )
     p.add_argument(
         "--b-max",
-        type=int,
+        type=_int_option,
         help="denominator sweep limit (defaults to the proven bound)",
     )
 
     p = sub.add_parser("bound", parents=[common], help="denominator bounds")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int, help="degree of alpha")
-    group.add_argument("--leading", type=int, help="leading coefficient of P")
+    group.add_argument("--degree", type=_int_option, help="degree of alpha")
+    group.add_argument("--leading", type=_int_option, help="leading coefficient of P")
 
     p = sub.add_parser(
         "classify", parents=[common], help="integer preimage or transcendence certificate"
@@ -544,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "pairs", parents=[common], help="the x^x = y^y and x^y = y^x families"
     )
-    p.add_argument("--m", type=int, required=True, help="family index m >= 1")
+    p.add_argument("--m", type=_int_option, required=True, help="family index m >= 1")
     p.add_argument(
         "--commuting",
         action="store_true",
@@ -554,10 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "decompose", parents=[common], help="common base of x^a = y^b"
     )
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--x", type=_int_option, required=True)
+    p.add_argument("--y", type=_int_option, required=True)
+    p.add_argument("--a", type=_int_option, required=True)
+    p.add_argument("--b", type=_int_option, required=True)
 
     return parser
 
@@ -570,15 +585,17 @@ def _fail(exc: Exception, kind: str, code: int) -> "SystemExit":
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, human = _COMMANDS[args.command](args)
+        # answers are written with every digit; the caps bound how many
+        with _all_digits():
+            payload, human = _COMMANDS[args.command](args)
+            text = json.dumps(payload, sort_keys=True) if args.json else human
     except ParseError as exc:
         raise _fail(exc, "parse", 2) from exc
     except ResourceError as exc:
         raise _fail(exc, "resource", 4) from exc
     except DomainError as exc:
         raise _fail(exc, "domain", 3) from exc
-    with _all_digits():
-        print(json.dumps(payload, sort_keys=True) if args.json else human)
+    print(text)
     return 0
 
 

@@ -129,11 +129,13 @@ def enumerate_rational_powers(
     """
     if a_max < 1:
         raise DomainError("a_max must be >= 1")
+    if b_max is not None and b_max < 2:
+        raise DomainError("b_max must be >= 2")
     if poly.degree < 1:
         raise DomainError("polynomial must be non-constant")
     bound = leading_denominator_bound(poly.leading_coefficient)
     b_hi = bound if b_max is None else b_max
-    points = a_max * max(b_hi - 1, 0)
+    points = a_max * (b_hi - 1)
     if points > _MAX_SWEEP_POINTS:
         raise ResourceError(
             f"sweep of a <= {number_text(a_max)}, 2 <= b <= {number_text(b_hi)} "

@@ -29,11 +29,7 @@ from .arith import (
     floor_of_multiple_ln,
     powers_equal,
 )
-from .errors import (
-    DomainError,
-    TargetShapeError,
-    number_text,
-)
+from .errors import DomainError, TargetShapeError, number_text
 from .minpoly import (
     BinomialMinPoly,
     IntPolynomial,
@@ -43,38 +39,35 @@ from .minpoly import (
 )
 
 
-class AlgebraicTarget(namedtuple("AlgebraicTarget", "value root", defaults=(None, None))):
-    """The right-hand side alpha of x^x = alpha.
-
-    Either a positive rational value, or the unique positive real root
-    (r/s)^(1/d) of an irreducible binomial s*x^d - r of degree >= 2.
+class AlgebraicTarget(BinomialMinPoly):
+    """The right-hand side alpha of x^x = alpha, as its minimal polynomial:
+    the irreducible binomial s*x^d - r, whose unique positive real root is
+    alpha = (r/s)^(1/d).  A rational alpha = r/s is the case d = 1.
     """
 
     __slots__ = ()
 
-    def __new__(cls, value: Fraction | None = None, root: BinomialMinPoly | None = None):
-        if (value is None) == (root is None):
-            raise DomainError("target needs exactly one of value or root")
-        if value is not None and value <= 0:
-            raise DomainError(f"alpha must be positive, got {number_text(value)}")
-        if root is not None and root.d < 2:
-            raise DomainError("degree-1 binomials must be given as rational values")
-        return super().__new__(cls, value, root)
+    def __new__(cls, s: int, d: int, r: int):
+        target = super().__new__(cls, s, d, r)
+        # every binomial of degree 1 is irreducible
+        if d > 1 and not is_irreducible_binomial(target):
+            raise TargetShapeError(
+                f"{number_text(s)}*x^{d} - {number_text(r)} is reducible over "
+                "the rationals"
+            )
+        return target
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicTarget":
-        return cls(value=Fraction(q))
+        q = Fraction(q)
+        if q <= 0:
+            raise DomainError(f"alpha must be positive, got {number_text(q)}")
+        # a reduced fraction is already a valid binomial s*x - r
+        return cls._make((q.denominator, 1, q.numerator))
 
     @classmethod
     def from_binomial(cls, binomial: BinomialMinPoly) -> "AlgebraicTarget":
-        if not is_irreducible_binomial(binomial):
-            raise TargetShapeError(
-                f"{number_text(binomial.s)}*x^{binomial.d} - "
-                f"{number_text(binomial.r)} is reducible over the rationals"
-            )
-        if binomial.d == 1:
-            return cls(value=Fraction(binomial.r, binomial.s))
-        return cls(root=binomial)
+        return cls(*binomial)
 
     @classmethod
     def from_polynomial(cls, poly: IntPolynomial) -> "AlgebraicTarget":
@@ -86,20 +79,6 @@ class AlgebraicTarget(namedtuple("AlgebraicTarget", "value root", defaults=(None
                 "of x^x = alpha and are rejected"
             )
         return cls.from_binomial(binomial)
-
-    @property
-    def degree(self) -> int:
-        return 1 if self.value is not None else self.root.d
-
-    @property
-    def is_rational(self) -> bool:
-        return self.value is not None
-
-    def root_triple(self) -> tuple[int, int, int]:
-        """(d, r, s) with alpha = (r/s)^(1/d); d = 1 for rational targets."""
-        if self.value is not None:
-            return 1, self.value.numerator, self.value.denominator
-        return self.root.d, self.root.r, self.root.s
 
 
 class SolutionSet(namedtuple("SolutionSet", "solutions scan_count")):
@@ -124,7 +103,7 @@ def integer_scan(target: AlgebraicTarget) -> tuple[int | None, int]:
     Returns (n, N) when n^n = alpha exactly, else (None, N), with N the number
     of integers tested; N never exceeds max(3, 1 + ceil(ln alpha)).
     """
-    d, r, s = target.root_triple()
+    s, d, r = target
     n = 1
     while True:
         c = compare_self_power_to_root(Fraction(n), d, r, s)
@@ -170,7 +149,7 @@ def solve_enumerative(target: AlgebraicTarget) -> SolutionSet:
     """
     found, count = integer_scan(target)
     solutions = [] if found is None else [Fraction(found)]
-    d, r, s = target.root_triple()
+    s, d, r = target
     if d > 1:
         bound = denominator_bound(d)
         hits, tested = _scan_denominators(d, count, bound, r, s)
@@ -254,11 +233,13 @@ def solve_by_divisors(binomial: BinomialMinPoly) -> SolutionSet:
     reconstructed minimal polynomial.
 
     scan_count is the number of candidates covered: the divisors lam > 1 of s,
-    plus every 2 <= b <= bound for each of the tau(k) exponents a.
+    plus every 2 <= b <= bound for each of the tau(k) exponents a.  Only a
+    binomial that is no AlgebraicTarget is checked for irreducibility here.
     """
-    if not is_irreducible_binomial(binomial):
-        raise DomainError("solve_by_divisors requires an irreducible binomial")
-    s, d, r = binomial.s, binomial.d, binomial.r
+    if not isinstance(binomial, AlgebraicTarget):
+        if not is_irreducible_binomial(binomial):
+            raise DomainError("solve_by_divisors requires an irreducible binomial")
+    s, d, r = binomial
     if s == 1:
         if d == 1:
             # alpha = r is a positive integer; only integer solutions exist
@@ -301,11 +282,11 @@ def _divisors(n: int) -> list[int]:
 
 
 def solve(target: AlgebraicTarget, cross_check: bool = False) -> SolutionSet:
-    """Solve x^x = alpha: divisor procedure when the binomial is available,
-    enumeration otherwise; cross_check runs both and insists they agree."""
-    if target.is_rational:
+    """Solve x^x = alpha: enumeration when alpha is rational (d = 1), the
+    divisor procedure otherwise; cross_check runs both and insists they agree."""
+    if target.d == 1:
         return solve_enumerative(target)
-    result = solve_by_divisors(target.root)
+    result = solve_by_divisors(target)
     if cross_check:
         other = solve_enumerative(target)
         if other.solutions != result.solutions:

@@ -104,24 +104,38 @@ class TestParsePolynomial:
             parse_polynomial("x²")
         assert exc.value.position == 1
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
-    )
     def test_over_long_literal_names_limit_and_position(self):
-        limit = sys.get_int_max_str_digits()
-        digits = "7" * (limit + 100)
-        cases = [
-            (lambda: parse_polynomial(f"x^2 - {digits}"), 6),
-            (lambda: parse_polynomial(f"[-1, 0,  {digits}]"), 9),
-            (lambda: parse_rational(f"1/{digits}"), 2),
-            (lambda: parse_rational(f"-{digits}"), 0),
-        ]
-        for parse, position in cases:
-            with pytest.raises(ParseError) as exc:
-                parse()
-            assert exc.value.position == position
-            assert f"{limit + 100} digits" in str(exc.value)
-            assert f"limit of {limit} digits" in str(exc.value)
+        # one cap for every literal, 65536 bits or 19729 digits, whatever the
+        # interpreter's int-from-str digit limit; 2^65536 - 1 has 19729 digits
+        assert 10**19728 < 2**65536 - 1 < 10**19729
+        with _all_digits():
+            largest, past = str(2**65536 - 1), str(2**65536)
+        for digits, size in (("7" * 19730, "19730 digits"), (past, "65537 bits")):
+            cases = [
+                (lambda: parse_polynomial(f"x^2 - {digits}"), 6),
+                (lambda: parse_polynomial(f"{digits}*x"), 0),
+                (lambda: parse_polynomial(f" -{digits}"), 1),
+                (lambda: parse_polynomial(f"[-1, 0,  {digits}]"), 9),
+                (lambda: parse_rational(f"1/{digits}"), 2),
+                (lambda: parse_rational(f"-{digits}"), 0),
+            ]
+            for parse, position in cases:
+                with pytest.raises(ParseError) as exc:
+                    parse()
+                assert exc.value.position == position
+                assert str(exc.value) == (
+                    f"integer literal of {size} exceeds the supported size of "
+                    f"65536 bits (19729 digits) (at position {position})"
+                )
+        assert parse_polynomial(f"x - {largest}").coeffs == (1 - 2**65536, 1)
+        assert parse_polynomial(f"[{largest}, -1]").coeffs == (2**65536 - 1, -1)
+        assert parse_rational(f"-1/{largest}") == Fraction(-1, 2**65536 - 1)
+
+    def test_rendering_past_the_interpreter_digit_limit_parses_back(self):
+        # 9^9999 has 9542 digits, past the default int-from-str limit of 4300
+        for text in ("9^9999*x", "2^65535*x - 2^65535 + 1", "-2^65535 - 2^65534 + 1"):
+            poly = parse_polynomial(text)
+            assert parse_polynomial(format_polynomial(poly)) == poly
 
     def test_degree_cap_holds_for_products(self):
         with pytest.raises(ParseError) as exc:
@@ -193,15 +207,9 @@ class TestParsePolynomial:
             assert exc.position is not None, exc
             assert 0 <= exc.position <= len(stripped), exc
             return
-        rendered = format_polynomial(poly)
-        try:
-            assert parse_polynomial(rendered) == poly
-        except ParseError as exc:
-            # the rendering writes every digit; reading it back is bound by
-            # the interpreter's int-from-str digit limit
-            assert "interpreter's limit" in str(exc)
-            with _all_digits():
-                assert parse_polynomial(rendered) == poly
+        # every coefficient is within the literal cap, so its rendering,
+        # written with every digit, reads back
+        assert parse_polynomial(format_polynomial(poly)) == poly
 
     @given(
         st.lists(st.integers(-99, 99), min_size=1, max_size=7).filter(
@@ -232,6 +240,29 @@ class TestGoldenOutputs:
             "x^x = positive root of 2*x^2 - 1: solutions 1/4, 1/2 "
             "(5 tests, divisors)\n"
         )
+
+    def test_rational_alpha_reads_the_same_in_every_form(self, capsys):
+        # a rational alpha is the target of degree 1, however it is written
+        for forms, payload in (
+            (
+                ("3/2", "2*x - 3", "[-3, 2]", "-2*x + 3", "6/4", "[3, -2]"),
+                '{"alpha": "3/2", "method": "enumeration", "scan_count": 2, '
+                '"solutions": []}\n',
+            ),
+            (
+                ("27", "x - 27", "[-27, 1]", "−x + 27"),
+                '{"alpha": "27", "method": "enumeration", "scan_count": 3, '
+                '"solutions": ["3"]}\n',
+            ),
+        ):
+            humans = set()
+            for alpha in forms:
+                out, _ = run_cli(capsys, ["solve", "--alpha", alpha, "--json"])
+                assert out == payload, alpha
+                out, _ = run_cli(capsys, ["solve", "--alpha", alpha])
+                humans.add(out)
+            assert len(humans) == 1, humans
+        assert humans == {"x^x = 27: solutions 3 (3 tests, enumeration)\n"}
 
     def test_solve_rational_alpha(self, capsys):
         out, _ = run_cli(capsys, ["solve", "--alpha", "27", "--json"])
@@ -365,6 +396,33 @@ class TestExitCodes:
         )
         assert json.loads(err)["kind"] == "parse"
 
+    @pytest.mark.parametrize("b_max", ["1", "0", "-5"])
+    def test_powsearch_b_max_below_2_is_3(self, capsys, b_max):
+        _, err = run_cli(
+            capsys,
+            ["powsearch", "--poly", "2*x", "--a-max", "9", "--b-max", b_max],
+            expect_exit=3,
+        )
+        assert json.loads(err) == {"error": "b_max must be >= 2", "kind": "domain"}
+
+    def test_integer_options_keep_the_literal_cap(self, capsys):
+        _, err = run_cli(capsys, ["bound", "--leading", "7" * 19730], expect_exit=2)
+        assert json.loads(err) == {
+            "error": "argument --leading: integer literal of 19730 digits exceeds "
+            "the supported size of 65536 bits (19729 digits)",
+            "kind": "parse",
+        }
+        _, err = run_cli(capsys, ["bound", "--degree", "abc"], expect_exit=2)
+        assert json.loads(err) == {
+            "error": "argument --degree: invalid int value: 'abc'",
+            "kind": "parse",
+        }
+        # a 5000-digit option is accepted, and its human text written whole
+        _, err = run_cli(capsys, ["pairs", "--m", "1" + "0" * 4999], expect_exit=4)
+        assert json.loads(err)["kind"] == "resource"
+        out, _ = run_cli(capsys, ["bound", "--leading", "-" + "7" * 5000])
+        assert out.startswith(f"denominator bound for leading coefficient -{'7' * 5000}: ")
+
     def test_unsupported_q_is_3(self, capsys):
         _, err = run_cli(capsys, ["classify", "--q", "1/2"], expect_exit=3)
         assert json.loads(err)["kind"] == "domain"
@@ -387,7 +445,11 @@ class TestExitCodes:
 # inputs that used to crash (exit 1); each must finish under its time limit
 # with exit 0 or a typed error (2, 3, 4)
 _F7 = 2**128 + 1
-_LONG = "7" * 4400  # past the interpreter's default 4300-digit int/str limit
+# past the interpreter's default 4300-digit int/str limit, within the literal cap
+_LONG = "7" * 4400
+with _all_digits():
+    _LARGEST = str(2**65536 - 1)  # the largest literal, 19729 digits
+    _BELOW = str(2**65536 - 2)
 _ADVERSARIAL = [
     pytest.param(["solve", "--alpha", "x^200-2", "--verify-both"], 30, id="x^200-2"),
     pytest.param(["solve", "--alpha", "x^20000 - 3"], 30, id="x^20000"),
@@ -431,6 +493,12 @@ _ADVERSARIAL = [
     pytest.param(
         ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
     ),
+    pytest.param(["classify", "--q", _LARGEST], 10, id="classify-at-literal-cap"),
+    pytest.param(
+        ["classify", "--q", f"{_LARGEST}/{_BELOW}"], 10, id="classify-near-1-at-cap"
+    ),
+    pytest.param(["minpoly", f"{_LARGEST}/2"], 10, id="minpoly-at-literal-cap"),
+    pytest.param(["minpoly", f"1/{_LARGEST}"], 10, id="minpoly-1/at-literal-cap"),
     pytest.param(
         ["powsearch", "--poly", "x", "--a-max", "5", "--b-max", "100000000000"],
         10,
@@ -439,11 +507,15 @@ _ADVERSARIAL = [
 ]
 
 
-def run_module(argv, limit):
-    """Run `python -m selfpower.cli argv --json` on this checkout's sources."""
+def run_module(argv, limit, int_max_str_digits=None):
+    """Run `python -m selfpower.cli argv --json` on this checkout's sources,
+    with PYTHONINTMAXSTRDIGITS unset or set to int_max_str_digits."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if int_max_str_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = int_max_str_digits
     return subprocess.run(
         [sys.executable, "-m", "selfpower.cli", *argv, "--json"],
         env=env,
@@ -451,6 +523,25 @@ def run_module(argv, limit):
         text=True,
         timeout=limit,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "[-1, 0, 2]"],
+        ["solve", "--alpha", f"1{'0' * 4999}*x^2 - 1"],
+        ["solve", "--alpha", f"{'7' * 19730}*x - 1"],
+        ["classify", "--q", f"1{'0' * 698}1"],
+        ["bound", "--leading", "7" * 5000],
+        ["powcheck", "--poly", "6*x^3 - 8", "--x", "15"],
+    ],
+    ids=["readme", "5000-digit-coefficient", "past-cap", "700-digit-q", "option", "output"],
+)
+def test_int_digit_limit_setting_changes_nothing(argv):
+    # the interpreter's int/str digit limit, default, lifted and at its minimum
+    runs = [run_module(argv, 30, setting) for setting in (None, "0", "640")]
+    results = {(proc.returncode, proc.stdout, proc.stderr) for proc in runs}
+    assert len(results) == 1, [proc.stderr for proc in runs]
 
 
 def test_startup_leaves_heavy_modules_unloaded():
@@ -482,7 +573,8 @@ class TestAdversarialInputs:
         if proc.returncode:
             assert "kind" in json.loads(proc.stderr)
         else:
-            json.loads(proc.stdout)
+            with _all_digits():  # an answer may hold integers of any length
+                json.loads(proc.stdout)
 
 
 def test_binomial_text_is_the_polynomial_text():
@@ -511,16 +603,18 @@ class TestMinpolyWithoutFactorization:
 
     def test_4000_digit_prime_denominator(self):
         b = 10**3999 + 7
-        proc = run_module(["minpoly", f"1/{b}"], 10)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["d"] == b
+        with _all_digits():  # the test's own text of b, at any digit limit
+            proc = run_module(["minpoly", f"1/{b}"], 10)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["d"] == b
 
     def test_smooth_denominator(self):
         # lcm(1..8999), 12983 bits, is no perfect power
         b = math.lcm(*range(1, 9000))
-        proc = run_module(["minpoly", f"1/{b}"], 10)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"d": b, "r": 1, "s": b}
+        with _all_digits():
+            proc = run_module(["minpoly", f"1/{b}"], 10)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == {"d": b, "r": 1, "s": b}
 
 
 class TestConfiguration:

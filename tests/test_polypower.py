@@ -236,6 +236,15 @@ class TestEnumeration:
     def test_monic_widened_sweep_still_empty(self):
         assert enumerate_rational_powers(P_X2_PLUS_1, 25, b_max=25) == []
 
+    @pytest.mark.parametrize("b_max", [1, 0, -5])
+    def test_sweep_below_denominator_2_refused(self, b_max):
+        # the sweep starts at b = 2; a smaller b_max would sweep nothing
+        with pytest.raises(DomainError, match=r"^b_max must be >= 2$"):
+            enumerate_rational_powers(P_2X, 9, b_max=b_max)
+        assert enumerate_rational_powers(P_2X, 9, b_max=2) == [
+            (x, v) for x, v in enumerate_rational_powers(P_2X, 9) if x.denominator == 2
+        ]
+
     def test_quartic_example(self):
         hits = enumerate_rational_powers(P_4X2, 3)
         assert (Fraction(3, 2), Fraction(19683, 512)) in hits

@@ -15,6 +15,7 @@ from selfpower import (
     Ordering,
     RationalityVerdict,
     SolutionSet,
+    TargetShapeError,
 )
 
 _STATEMENT = "x^x = 2 has an irrational solution in (3/2, 7/4)"
@@ -33,16 +34,17 @@ _RECORDS = [
         "BinomialMinPoly(s=6561, d=9, r=256)",
         id="BinomialMinPoly",
     ),
+    # a rational value alpha = r/s is the target of degree d = 1
     pytest.param(
         AlgebraicTarget,
-        {"value": Fraction(2), "root": None},
-        "AlgebraicTarget(value=Fraction(2, 1), root=None)",
+        {"s": 2, "d": 1, "r": 3},
+        "AlgebraicTarget(s=2, d=1, r=3)",
         id="AlgebraicTarget-value",
     ),
     pytest.param(
         AlgebraicTarget,
-        {"value": None, "root": BinomialMinPoly(6561, 9, 256)},
-        "AlgebraicTarget(value=None, root=BinomialMinPoly(s=6561, d=9, r=256))",
+        {"s": 6561, "d": 9, "r": 256},
+        "AlgebraicTarget(s=6561, d=9, r=256)",
         id="AlgebraicTarget-root",
     ),
     pytest.param(
@@ -111,14 +113,7 @@ def test_fields_cannot_be_assigned(cls, fields, text):
 def test_records_with_different_fields_differ():
     assert BinomialMinPoly(6561, 9, 256) != BinomialMinPoly(6561, 9, 257)
     assert SolutionSet((), 3) != SolutionSet((), 4)
-    assert AlgebraicTarget(value=Fraction(2)) != AlgebraicTarget(value=Fraction(3))
-
-
-def test_algebraic_target_fields_default_to_none():
-    assert AlgebraicTarget(value=Fraction(2)).root is None
-    binomial = BinomialMinPoly(6561, 9, 256)
-    assert AlgebraicTarget(root=binomial).value is None
-    assert AlgebraicTarget(root=binomial) == AlgebraicTarget(None, binomial)
+    assert AlgebraicTarget(1, 1, 2) != AlgebraicTarget(1, 1, 3)
 
 
 # (constructor, arguments, exception type, exact message)
@@ -168,38 +163,31 @@ _INVALID = [
     ),
     pytest.param(
         AlgebraicTarget,
-        {},
+        {"s": 2, "d": 1, "r": -3},
         DomainError,
-        "target needs exactly one of value or root",
-        id="target-neither",
-    ),
-    pytest.param(
-        AlgebraicTarget,
-        {"value": Fraction(2), "root": BinomialMinPoly(2, 3, 1)},
-        DomainError,
-        "target needs exactly one of value or root",
-        id="target-both",
-    ),
-    pytest.param(
-        AlgebraicTarget,
-        {"value": Fraction(-3, 2)},
-        DomainError,
-        "alpha must be positive, got -3/2",
+        "binomial needs s, d, r >= 1",
         id="target-negative",
     ),
     pytest.param(
         AlgebraicTarget,
-        {"value": Fraction(0)},
+        {"s": 1, "d": 1, "r": 0},
         DomainError,
-        "alpha must be positive, got 0",
+        "binomial needs s, d, r >= 1",
         id="target-zero",
     ),
     pytest.param(
         AlgebraicTarget,
-        {"value": None, "root": BinomialMinPoly(2, 1, 3)},
+        {"s": 4, "d": 1, "r": 6},
         DomainError,
-        "degree-1 binomials must be given as rational values",
-        id="target-degree-1",
+        "gcd(r, s) must be 1, got gcd(6, 4)",
+        id="target-gcd",
+    ),
+    pytest.param(
+        AlgebraicTarget,
+        {"s": 9, "d": 2, "r": 4},
+        TargetShapeError,
+        "9*x^2 - 4 is reducible over the rationals",
+        id="target-reducible",
     ),
     pytest.param(
         SolutionSet,

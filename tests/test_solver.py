@@ -33,6 +33,7 @@ from selfpower import (
     verify_commuting,
     verify_equal_self_powers,
 )
+from selfpower import solver as solver_module
 from selfpower.cli import _MAX_DEGREE
 
 
@@ -88,11 +89,40 @@ def target_of(s, d, r):
 class TestTargetConstruction:
     def test_degree_one_becomes_rational(self):
         t = target_of(2, 1, 3)
-        assert t.is_rational and t.value == Fraction(3, 2)
+        assert t == AlgebraicTarget.from_rational(Fraction(3, 2))
+        assert type(t) is AlgebraicTarget and t.d == 1
+
+    def test_target_is_its_binomial(self):
+        for binomial in (
+            BinomialMinPoly(2, 1, 3),
+            BinomialMinPoly(2, 2, 1),
+            BinomialMinPoly(6561, 9, 256),
+        ):
+            target = AlgebraicTarget.from_binomial(binomial)
+            assert isinstance(target, BinomialMinPoly)
+            assert target == binomial
+            assert hash(target) == hash(binomial)
+        poly = IntPolynomial((-256, 0, 0, 0, 0, 0, 0, 0, 0, 6561))
+        assert AlgebraicTarget.from_polynomial(poly) == (6561, 9, 256)
 
     def test_reducible_rejected(self):
         with pytest.raises(TargetShapeError, match=r"1\*x\^2 - 4 is reducible"):
             target_of(1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AlgebraicTarget(1, 2, 4),
+            lambda: AlgebraicTarget(s=9, d=4, r=4),
+            lambda: AlgebraicTarget.from_binomial(BinomialMinPoly(8, 3, 27)),
+            lambda: AlgebraicTarget.from_polynomial(IntPolynomial((-4, 0, 1))),
+            lambda: AlgebraicTarget.from_polynomial(IntPolynomial((4, 0, -9))),
+        ],
+        ids=["positional", "keyword", "from_binomial", "from_polynomial", "negated"],
+    )
+    def test_every_constructor_refuses_reducible_binomials(self, build):
+        with pytest.raises(TargetShapeError, match="is reducible over the rationals"):
+            build()
 
     def test_reducible_message_skips_huge_decimals(self):
         # s has ~9500 decimal digits, past the interpreter's int-to-str limit
@@ -122,9 +152,26 @@ class TestTargetConstruction:
         with pytest.raises(DomainError, match=r"got gcd\(<16610-bit integer>, <16610"):
             minimal_polynomial_of_self_power(huge, huge)
 
-    def test_root_triple(self):
-        assert target_of(2, 2, 1).root_triple() == (2, 1, 2)
-        assert AlgebraicTarget.from_rational(Fraction(3, 4)).root_triple() == (1, 3, 4)
+    def test_fields_are_the_binomial(self):
+        assert tuple(target_of(2, 2, 1)) == (2, 2, 1)
+        s, d, r = AlgebraicTarget.from_rational(Fraction(3, 4))
+        assert (s, d, r) == (4, 1, 3)
+
+    def test_irreducibility_is_decided_once_per_target(self, monkeypatch):
+        calls = []
+        decide = solver_module.is_irreducible_binomial
+        monkeypatch.setattr(
+            solver_module,
+            "is_irreducible_binomial",
+            lambda binomial: calls.append(binomial) or decide(binomial),
+        )
+        solve(target_of(6561, 9, 256), cross_check=True)
+        assert calls == [(6561, 9, 256)]
+        # a plain binomial is still checked by the divisor procedure
+        solve_by_divisors(BinomialMinPoly(6561, 9, 256))
+        assert len(calls) == 2
+        with pytest.raises(DomainError, match="requires an irreducible binomial"):
+            solve_by_divisors(BinomialMinPoly(1, 2, 4))
 
 
 class TestIntegerScan:
@@ -182,7 +229,7 @@ class TestSolveEnumerative:
         target = target_of(2, 2, 1)
         result = solve_enumerative(target)
         n, scanned = integer_scan(target)
-        bound = denominator_bound(target.degree)
+        bound = denominator_bound(target.d)
         assert result.scan_count <= scanned * bound * bound + scanned
 
 
@@ -273,7 +320,7 @@ class TestSolveDispatcher:
                 target = AlgebraicTarget.from_binomial(binomial)
                 result = solve(target, cross_check=True)
                 assert Fraction(a, b) in result.solutions, (a, b)
-                d, r, s = target.root_triple()
+                s, d, r = target
                 for x in result.solutions:
                     assert (
                         compare_self_power_to_root(x, d, r, s) is Ordering.EQUAL
@@ -303,10 +350,7 @@ class TestSolveDispatcher:
             if not is_irreducible_binomial(binomial):
                 continue
             by_divisors = solve_by_divisors(binomial)
-            if d == 1:
-                target = AlgebraicTarget.from_rational(Fraction(r, s))
-            else:
-                target = AlgebraicTarget.from_binomial(binomial)
+            target = AlgebraicTarget.from_binomial(binomial)
             assert by_divisors.solutions == solve_enumerative(target).solutions
             checked += 1
 
