@@ -4,62 +4,10 @@ The package solves x^x = alpha for algebraic alpha by two independent exact
 procedures, constructs minimal polynomials of self-powers (a/b)^(a/b),
 analyzes when x^P(x) is rational, and issues transcendence certificates with
 exact isolating intervals.  No floating point participates in any decision.
-"""
 
-from .arith import (
-    Factorization,
-    Ordering,
-    compare_power_products,
-    compare_self_power_to_rational,
-    compare_self_power_to_root,
-    factorize,
-    integer_kth_root,
-    is_prime,
-    lambda_decompose,
-    padic_valuation,
-    powers_equal,
-    reduce_fraction,
-)
-from .certify import Certificate, bisect_preimage, classify_preimage
-from .errors import (
-    DomainError,
-    ParseError,
-    PreconditionError,
-    ResourceError,
-    SelfPowerError,
-    TargetShapeError,
-    UnsupportedInputError,
-)
-from .minpoly import (
-    BinomialMinPoly,
-    IntPolynomial,
-    as_binomial,
-    degree_of_self_power,
-    is_irreducible_binomial,
-    minimal_polynomial_of_self_power,
-)
-from .polypower import (
-    RationalityVerdict,
-    analyze_poly_power,
-    enumerate_rational_powers,
-    eval_polynomial,
-    leading_denominator_bound,
-    rational_power,
-    zero_exponent_denominator_bound,
-)
-from .solver import (
-    AlgebraicTarget,
-    SolutionSet,
-    commuting_pair,
-    denominator_bound,
-    equal_self_power_pair,
-    integer_scan,
-    solve,
-    solve_by_divisors,
-    solve_enumerative,
-    verify_commuting,
-    verify_equal_self_powers,
-)
+``import selfpower`` loads no submodule: each public name imports its home
+module on first access (PEP 562) and is then bound here like any attribute.
+"""
 
 __version__ = "0.1.0"
 
@@ -67,52 +15,68 @@ __version__ = "0.1.0"
 #: it keep working.
 BACKEND = "pure"
 
-__all__ = [
-    "AlgebraicTarget",
-    "BACKEND",
-    "BinomialMinPoly",
-    "Certificate",
-    "DomainError",
-    "Factorization",
-    "IntPolynomial",
-    "Ordering",
-    "ParseError",
-    "PreconditionError",
-    "RationalityVerdict",
-    "ResourceError",
-    "SelfPowerError",
-    "SolutionSet",
-    "TargetShapeError",
-    "UnsupportedInputError",
-    "analyze_poly_power",
-    "as_binomial",
-    "bisect_preimage",
-    "classify_preimage",
-    "commuting_pair",
-    "compare_power_products",
-    "compare_self_power_to_rational",
-    "compare_self_power_to_root",
-    "degree_of_self_power",
-    "denominator_bound",
-    "enumerate_rational_powers",
-    "equal_self_power_pair",
-    "eval_polynomial",
-    "factorize",
-    "integer_kth_root",
-    "integer_scan",
-    "is_irreducible_binomial",
-    "is_prime",
-    "lambda_decompose",
-    "leading_denominator_bound",
-    "minimal_polynomial_of_self_power",
-    "padic_valuation",
-    "powers_equal",
-    "rational_power",
-    "reduce_fraction",
-    "solve",
-    "solve_by_divisors",
-    "solve_enumerative",
-    "verify_commuting",
-    "verify_equal_self_powers",
-    "zero_exponent_denominator_bound",
-]
+#: The home module of each public name.
+_HOME = {
+    "Factorization": "arith",
+    "Ordering": "arith",
+    "compare_power_products": "arith",
+    "compare_self_power_to_rational": "arith",
+    "compare_self_power_to_root": "arith",
+    "factorize": "arith",
+    "integer_kth_root": "arith",
+    "is_prime": "arith",
+    "lambda_decompose": "arith",
+    "padic_valuation": "arith",
+    "powers_equal": "arith",
+    "reduce_fraction": "arith",
+    "Certificate": "certify",
+    "bisect_preimage": "certify",
+    "classify_preimage": "certify",
+    "DomainError": "errors",
+    "ParseError": "errors",
+    "PreconditionError": "errors",
+    "ResourceError": "errors",
+    "SelfPowerError": "errors",
+    "TargetShapeError": "errors",
+    "UnsupportedInputError": "errors",
+    "BinomialMinPoly": "minpoly",
+    "IntPolynomial": "minpoly",
+    "as_binomial": "minpoly",
+    "degree_of_self_power": "minpoly",
+    "is_irreducible_binomial": "minpoly",
+    "minimal_polynomial_of_self_power": "minpoly",
+    "RationalityVerdict": "polypower",
+    "analyze_poly_power": "polypower",
+    "enumerate_rational_powers": "polypower",
+    "eval_polynomial": "polypower",
+    "leading_denominator_bound": "polypower",
+    "rational_power": "polypower",
+    "zero_exponent_denominator_bound": "polypower",
+    "AlgebraicTarget": "solver",
+    "SolutionSet": "solver",
+    "commuting_pair": "solver",
+    "denominator_bound": "solver",
+    "equal_self_power_pair": "solver",
+    "integer_scan": "solver",
+    "solve": "solver",
+    "solve_by_divisors": "solver",
+    "solve_enumerative": "solver",
+    "verify_commuting": "solver",
+    "verify_equal_self_powers": "solver",
+}
+
+__all__ = sorted(["BACKEND", *_HOME])
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -17,25 +17,11 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .certify import DEFAULT_WIDTH, Certificate, classify_preimage
 from .errors import DomainError, ParseError, ResourceError, number_text
-from .minpoly import BinomialMinPoly, IntPolynomial, minimal_polynomial_of_self_power
-from .polypower import (
-    analyze_poly_power,
-    enumerate_rational_powers,
-    leading_denominator_bound,
-    zero_exponent_denominator_bound,
-)
-from .arith import lambda_decompose
-from .solver import (
-    AlgebraicTarget,
-    commuting_pair,
-    denominator_bound,
-    equal_self_power_pair,
-    solve,
-    verify_commuting,
-    verify_equal_self_powers,
-)
+
+# every other selfpower module is imported inside the function that needs it,
+# so a command loads only the modules it runs; annotations that name their
+# classes are never evaluated
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -264,6 +250,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
         coeffs = _parse_expression(cleaned)
     if all(c == 0 for c in coeffs):
         raise ParseError("zero polynomial", position=0)
+    from .minpoly import IntPolynomial
+
     return IntPolynomial.from_coefficients(coeffs)
 
 
@@ -304,6 +292,8 @@ def _format_binomial(binomial: BinomialMinPoly) -> str:
 
 
 def _parse_alpha(text: str) -> AlgebraicTarget:
+    from .solver import AlgebraicTarget
+
     cleaned = _normalize_minus(text).strip()
     if _RATIONAL_RE.fullmatch(cleaned):
         return AlgebraicTarget.from_rational(parse_rational(cleaned))
@@ -317,6 +307,8 @@ def _describe_target(target: AlgebraicTarget) -> str:
 
 
 def _cmd_solve(args):
+    from .solver import solve
+
     target = _parse_alpha(args.alpha)
     result = solve(target, cross_check=args.verify_both)
     rendered = [format_fraction(x) for x in result.solutions]
@@ -337,6 +329,8 @@ def _cmd_solve(args):
 
 
 def _cmd_minpoly(args):
+    from .minpoly import minimal_polynomial_of_self_power
+
     q = parse_rational(args.fraction)
     if q <= 0:
         raise DomainError(f"need a positive rational, got {format_fraction(q)}")
@@ -350,19 +344,25 @@ def _cmd_minpoly(args):
 
 
 def _cmd_powcheck(args):
+    from .polypower import analyze_poly_power
+
     poly = parse_polynomial(args.poly)
     x = parse_rational(args.x)
     if x <= 0:
         raise ParseError(f"x must be positive, got {format_fraction(x)}")
     verdict = analyze_poly_power(poly, x)
     value = None if verdict.rational is None else format_fraction(verdict.rational)
-    payload = {"exponent": format_fraction(verdict.exponent), "rational": value}
-    base = f"({format_fraction(x)})^({format_fraction(verdict.exponent)})"
+    # the exponent may have ~300,000 digits, and writing it costs seconds
+    exponent = format_fraction(verdict.exponent)
+    payload = {"exponent": exponent, "rational": value}
+    base = f"({format_fraction(x)})^({exponent})"
     human = f"{base} = {value}" if value is not None else f"{base} is irrational"
     return payload, human
 
 
 def _cmd_powsearch(args):
+    from .polypower import enumerate_rational_powers, leading_denominator_bound
+
     poly = parse_polynomial(args.poly)
     if args.a_max < 1:
         raise DomainError("--a-max must be >= 1")
@@ -388,12 +388,16 @@ def _cmd_bound(args):
     if args.degree is not None:
         if args.degree < 1:
             raise DomainError("--degree must be >= 1")
+        from .solver import denominator_bound
+
         value = denominator_bound(args.degree)
         payload = {"bound": value, "degree": args.degree}
         human = f"denominator bound for degree {args.degree}: {value}"
     else:
         if args.leading == 0:
             raise DomainError("--leading must be nonzero")
+        from .polypower import leading_denominator_bound, zero_exponent_denominator_bound
+
         value = leading_denominator_bound(args.leading)
         payload = {
             "bound": value,
@@ -421,6 +425,8 @@ def _certificate_payload(cert: Certificate) -> dict:
 
 
 def _cmd_classify(args):
+    from .certify import DEFAULT_WIDTH, classify_preimage
+
     width = DEFAULT_WIDTH
     if args.width is not None:
         width = parse_rational(args.width)
@@ -442,6 +448,13 @@ def _cmd_classify(args):
 
 
 def _cmd_pairs(args):
+    from .solver import (
+        commuting_pair,
+        equal_self_power_pair,
+        verify_commuting,
+        verify_equal_self_powers,
+    )
+
     if args.m < 1:
         raise DomainError("--m must be >= 1")
     if args.commuting:
@@ -467,6 +480,8 @@ def _cmd_pairs(args):
 
 
 def _cmd_decompose(args):
+    from .arith import lambda_decompose
+
     lam = lambda_decompose(args.x, args.y, args.a, args.b)
     payload = {"lambda": lam}
     human = (

@@ -39,11 +39,21 @@ def eval_polynomial(poly: IntPolynomial, x: Fraction) -> Fraction:
     coeffs = poly.coeffs
     bits = poly.degree * max(a.bit_length(), b.bit_length())
     check_bit_cap(bits + max(map(int.bit_length, coeffs)), "P({}) needs", x)
-    # integer Horner on b^deg(P) * P(a/b) = sum of c_k a^k b^(deg(P) - k)
-    acc, b_power = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        b_power *= b
-        acc = acc * a + c * b_power
+    # integer Horner on b^deg(P) * P(a/b) = sum of c_k a^k b^(deg(P) - k),
+    # stepping from one nonzero coefficient to the next, so a run of zeros
+    # costs one power of a and one of b: acc is the sum of c_m a^(m - k)
+    # b^(deg(P) - m) over m >= k, and b_power is b^(deg(P) - k)
+    acc, b_power, k = coeffs[-1], 1, poly.degree
+    for i in range(k - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            step = k - i
+            b_power *= b**step
+            acc = acc * a**step + c * b_power
+            k = i
+    if k:
+        b_power *= b**k
+        acc *= a**k
     return Fraction(acc, b_power)
 
 

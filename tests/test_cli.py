@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -490,6 +491,12 @@ _ADVERSARIAL = [
         10,
         id="value-past-bit-cap",
     ),
+    # just inside the bit cap: 983,041 bits, written in ~296,000 digits
+    pytest.param(
+        ["powcheck", "--poly", "x^65536 + 1", "--x", "32767/32766"],
+        9,
+        id="value-at-bit-cap",
+    ),
     pytest.param(
         ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
     ),
@@ -544,25 +551,58 @@ def test_int_digit_limit_setting_changes_nothing(argv):
     assert len(results) == 1, [proc.stderr for proc in runs]
 
 
+_SOLVER = {"arith", "minpoly", "solver"}
+_POLYPOWER = {"arith", "minpoly", "polypower"}
+#: selfpower modules a command loads besides the package, errors and cli
+_LOADS = {
+    "solve": _SOLVER,
+    "minpoly": {"arith", "minpoly"},
+    "powcheck": _POLYPOWER,
+    "powsearch": _POLYPOWER,
+    "bound --degree": _SOLVER,
+    "bound --leading": _POLYPOWER,
+    "classify": _SOLVER | {"certify"},
+    "pairs": _SOLVER,
+    "decompose": {"arith"},
+}
+
+# imports selfpower.cli, runs one command through main, then prints the heavy
+# standard modules and the selfpower modules loaded, as the last line
+_STARTUP_PROBE = """
+import sys, selfpower.cli
+selfpower.cli.main(sys.argv[1:])
+heavy = [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+names = sorted(sys.modules)
+loaded = [m.removeprefix("selfpower.") for m in names if m.startswith("selfpower.")]
+print((heavy, loaded))
+"""
+
+
 def test_startup_leaves_heavy_modules_unloaded():
-    # every CLI call pays for the modules importing selfpower.cli loads;
-    # dataclasses alone pulls in inspect, ast, dis and tokenize
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    heavy = ("dataclasses", "inspect", "typing")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-S",
-            "-c",
-            f"import sys, selfpower.cli; print([m for m in {heavy!r} if m in sys.modules])",
-        ],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # every CLI call pays for the modules it loads; dataclasses alone pulls
+    # in inspect, ast, dis and tokenize, and each selfpower module a command
+    # does not run is compiled for nothing where no bytecode is cached
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text().splitlines()
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in readme
+        if line.startswith("selfpower ")
+    ]
+    assert commands
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _STARTUP_PROBE, *argv],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        key = " ".join(argv[:2]) if argv[0] == "bound" else argv[0]
+        expected = ["cli", "errors", *_LOADS[key]]
+        last = proc.stdout.splitlines()[-1]
+        assert last == repr(([], sorted(expected))), argv
 
 
 class TestAdversarialInputs:

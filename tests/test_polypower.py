@@ -29,6 +29,27 @@ P_X2_PLUS_1 = IntPolynomial((1, 0, 1))
 P_4X2 = IntPolynomial((0, 0, 4))
 
 
+def reference_eval_polynomial(poly, x):
+    """Integer Horner one degree at a step, zero coefficients included: the
+    evaluation eval_polynomial replaced, kept to check it against."""
+    a, b = x.numerator, x.denominator
+    acc, b_power = poly.coeffs[-1], 1
+    for c in reversed(poly.coeffs[:-1]):
+        b_power *= b
+        acc = acc * a + c * b_power
+    return Fraction(acc, b_power)
+
+
+_COEFFICIENTS = st.integers(-(10**30), 10**30)
+_POINTS = st.fractions(max_denominator=10**12).filter(lambda x: abs(x) < 10**12)
+_DENSE = st.lists(_COEFFICIENTS, min_size=1, max_size=40).filter(lambda cs: cs[-1])
+# a few nonzero terms at scattered degrees: long runs of zeros, at the
+# constant end too
+_SPARSE = st.dictionaries(
+    st.integers(0, 400), _COEFFICIENTS.filter(bool), min_size=1, max_size=5
+).map(lambda terms: [terms.get(k, 0) for k in range(max(terms) + 1)])
+
+
 class TestEvalPolynomial:
     def test_examples(self):
         assert eval_polynomial(P_2X, Fraction(1, 4)) == Fraction(1, 2)
@@ -52,6 +73,12 @@ class TestEvalPolynomial:
         for c in reversed(coeffs):
             reference = reference * x + c
         assert value == reference
+
+    @given(st.one_of(_DENSE, _SPARSE), _POINTS)
+    @settings(max_examples=300)
+    def test_equals_the_one_step_horner_loop(self, coeffs, x):
+        poly = IntPolynomial(tuple(coeffs))
+        assert eval_polynomial(poly, x) == reference_eval_polynomial(poly, x)
 
     def test_value_past_the_bit_cap_is_refused_before_it_is_formed(self):
         # 65536 * 17 + 1 bits, refused before the first multiplication
