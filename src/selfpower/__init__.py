@@ -28,9 +28,7 @@ _HOME = {
     "lambda_decompose": "arith",
     "padic_valuation": "arith",
     "powers_equal": "arith",
-    "reduce_fraction": "arith",
     "Certificate": "certify",
-    "bisect_preimage": "certify",
     "classify_preimage": "certify",
     "DomainError": "errors",
     "ParseError": "errors",

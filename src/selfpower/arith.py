@@ -17,7 +17,6 @@ approximation.
 from __future__ import annotations
 
 import enum
-import random
 import threading
 from collections.abc import Iterable
 from fractions import Fraction
@@ -64,13 +63,6 @@ class Ordering(enum.Enum):
         if sign > 0:
             return Ordering.GREATER
         return Ordering.EQUAL
-
-
-def reduce_fraction(num: int, den: int) -> Fraction:
-    """Unique reduced representative of num/den with positive denominator."""
-    if den == 0:
-        raise DomainError("zero denominator")
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +336,10 @@ def factorize(n: int) -> Factorization:
     found: dict[int, int] = {}
     n = _trial_divide(n, found)
     if n > _TRIAL_LIMIT * _TRIAL_LIMIT:
+        # only rho draws random starting points, so only a factorization
+        # that reaches it loads the module
+        import random
+
         rng = random.Random(_RHO_SEED)
         budget = [_FACTOR_BUDGET]
         stack = [(n, 1)]

@@ -11,10 +11,13 @@ The scan is the solver's own `solver.integer_scan` on the rational target q,
 the d = 1 case of its scan, so it stops after N <= max(3, 1 + ceil(ln q))
 steps and raises when a comparator would take it past that bound.
 
-The bisection halves [1, max(2, ceil(q))] a fixed number of times.  The scan
+The interval is the cell of the dyadic grid 1 + j*(H - 1)/2^k, H =
+max(2, ceil(q)), that holds x, with k the fewest halvings of [1, H] that
+reach the width: the bracket a bisection of [1, H] would end on.  The scan
 stopped at the first n with n^n > q, so (n - 1)^(n - 1) < q < n^n, and x^x
-increases on [1, inf): a midpoint outside (n - 1, n) is decided without a
-comparison, and only midpoints inside it are compared with q exactly.
+increases on [1, inf): x lies between the grid points next to n - 1 and n,
+and a binary search on j compares only grid points inside (n - 1, n) with q
+exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .solver import AlgebraicTarget, integer_scan
 
 #: Width of the isolating interval classify_preimage returns by default.
 DEFAULT_WIDTH = Fraction(1, 10**9)
-#: Halvings one bisection may take; a narrower width is refused up front.
+#: Halvings of [1, H] a certificate's grid may take; a narrower width is
+#: refused up front.
 _MAX_HALVINGS = 10_000
 
 
@@ -53,16 +57,17 @@ class Certificate(namedtuple("Certificate", "q integer_scan_trace interval state
 
 
 def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    """Bisect [1, max(2, ceil(q))] to width around the preimage of q, given the
-    integer scan's stop n: (n - 1)^(n - 1) < q < n^n."""
+    """The cell 1 + j*(H - 1)/2^k, j to j + 1, that holds the preimage of q,
+    where H = max(2, ceil(q)) and k is the fewest halvings of [1, H] that
+    reach width, given the integer scan's stop n: (n - 1)^(n - 1) < q < n^n."""
     if width <= 0:
         raise DomainError("width must be positive")
-    lo = Fraction(1)
-    hi = Fraction(max(2, -(-q.numerator // q.denominator)))
-    # halvings are exact: j of them leave a bracket of width (hi - lo) / 2^j,
-    # so the fewest that reach width are the least j with 2^j >= m, where
-    # m = ceil((hi - lo) / width), and that j is the bit length of m - 1
-    halvings = (-((lo - hi) // width) - 1).bit_length()
+    top = max(2, -(-q.numerator // q.denominator))
+    span = top - 1
+    # k halvings leave cells of width span / 2^k, so the fewest that reach
+    # width are the least k with 2^k >= m, where m = ceil(span / width), and
+    # that k is the bit length of m - 1
+    halvings = (-(-span // width) - 1).bit_length()
     if halvings > _MAX_HALVINGS:
         raise ResourceError(
             f"bisection to width {number_text(width)} needs {number_text(halvings)} "
@@ -70,59 +75,33 @@ def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
         )
     # x^x is strictly increasing on [1, inf); these endpoints straddle q
     if (
-        compare_self_power_to_rational(lo, q) is not Ordering.LESS
-        or compare_self_power_to_rational(hi, q) is not Ordering.GREATER
+        compare_self_power_to_rational(Fraction(1), q) is not Ordering.LESS
+        or compare_self_power_to_rational(Fraction(top), q) is not Ordering.GREATER
     ):
         raise AssertionError(
-            f"[{number_text(lo)}, {number_text(hi)}] does not bracket the "
-            f"preimage of {number_text(q)}"
+            f"[1, {number_text(top)}] does not bracket the preimage of {number_text(q)}"
         )
-    for _ in range(halvings):
-        mid = (lo + hi) / 2
-        # the scan decides every midpoint outside (n - 1, n)
-        if mid <= n - 1:
-            c = Ordering.LESS
-        elif mid >= n:
-            c = Ordering.GREATER
-        else:
-            c = compare_self_power_to_rational(mid, q)
+    cells = 1 << halvings
+    # grid point j is 1 + j*span/cells; the scan puts the last one at or
+    # below n - 1 under the root and the first one at or above n over it
+    lo = (n - 2) * cells // span
+    hi = -(-(n - 1) * cells // span)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = Fraction(cells + mid * span, cells)
+        c = compare_self_power_to_rational(x, q)
         # Equal cannot happen: a rational x with rational x^x is an integer,
         # and the scan has excluded the integers
         if c is Ordering.EQUAL:
             raise AssertionError(
-                f"{number_text(mid)}^{number_text(mid)} = {number_text(q)} "
+                f"{number_text(x)}^{number_text(x)} = {number_text(q)} "
                 "contradicts the integer scan"
             )
         if c is Ordering.LESS:
             lo = mid
         else:
             hi = mid
-    return lo, hi
-
-
-def _scan(q, noun: str) -> tuple[Fraction, int | None, int]:
-    """Fraction(q) after refusing q <= 1, and the integer scan of x^x = q."""
-    q = Fraction(q)
-    if q <= 1:
-        raise UnsupportedInputError(f"{noun} covers q > 1 only, got {number_text(q)}")
-    return (q, *integer_scan(AlgebraicTarget.from_rational(q)))
-
-
-def bisect_preimage(q, width) -> tuple[Fraction, Fraction]:
-    """Exact isolating interval for the real x > 1 with x^x = q.
-
-    Returns rationals lo < hi with hi - lo <= width, lo^lo < q and hi^hi > q,
-    every comparison exact; midpoints stay dyadic to control denominator
-    growth.  Refused when q = n^n has an exact integer solution, and when
-    width needs more than _MAX_HALVINGS halvings.
-    """
-    q, found, scanned = _scan(q, "bisection")
-    if found is not None:
-        raise DomainError(
-            f"x^x = {number_text(q)} has the exact solution x = {found}; "
-            "bisection refused"
-        )
-    return _bisect(q, Fraction(width), scanned)
+    return Fraction(cells + lo * span, cells), Fraction(cells + hi * span, cells)
 
 
 def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
@@ -139,8 +118,16 @@ def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
 
 def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     """The integer n with n^n = q when one exists; otherwise a transcendence
-    certificate for the unique real x > 1 with x^x = q.  Requires q > 1."""
-    q, found, scanned = _scan(q, "classification")
+    certificate for the unique real x > 1 with x^x = q, whose interval is an
+    exact isolating bracket of width at most width.  Requires q > 1; a width
+    that needs more than _MAX_HALVINGS halvings of [1, max(2, ceil(q))] is
+    refused."""
+    q = Fraction(q)
+    if q <= 1:
+        raise UnsupportedInputError(
+            f"classification covers q > 1 only, got {number_text(q)}"
+        )
+    found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
     if found is not None:
         return found
     lo, hi = _bisect(q, Fraction(width), scanned)

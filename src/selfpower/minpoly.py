@@ -12,7 +12,6 @@ which factors only the degree d.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 from .arith import _as_perfect_power, check_bit_cap, factorize, integer_kth_root
@@ -73,10 +72,6 @@ class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
         coeffs[self.d] = self.s
         return IntPolynomial(tuple(coeffs))
 
-    def root_as_rational(self) -> Fraction | None:
-        """The positive root as a rational, available exactly when d = 1."""
-        return Fraction(self.r, self.s) if self.d == 1 else None
-
 
 def _exponent_gcd(a: int, b: int) -> int:
     """g = gcd(b, k_a, k_b) for coprime a, b >= 1, where k_n is the largest k
@@ -128,7 +123,8 @@ def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:
     if poly.degree < 1:
         raise DomainError("as_binomial requires a non-constant polynomial")
     coeffs = poly.coeffs
-    if gcd(*coeffs) != 1 or any(coeffs[1:-1]):
+    # with no middle term the content is that of the two outer ones
+    if any(coeffs[1:-1]) or gcd(coeffs[0], coeffs[-1]) != 1:
         return None
     s, r = coeffs[-1], -coeffs[0]
     if s < 0:

@@ -71,6 +71,12 @@ class AlgebraicTarget(BinomialMinPoly):
 
     @classmethod
     def from_polynomial(cls, poly: IntPolynomial) -> "AlgebraicTarget":
+        # c*P and P share their roots: divide out the content, as the text of
+        # a rational is reduced (zeros change no gcd, and skipping them is
+        # faster on sparse P)
+        content = gcd(*filter(None, poly.coeffs))
+        if content > 1:
+            poly = IntPolynomial(tuple(c // content for c in poly.coeffs))
         binomial = as_binomial(poly)
         if binomial is None:
             raise TargetShapeError(

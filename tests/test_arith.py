@@ -22,7 +22,7 @@ from selfpower import (
     Ordering,
     PreconditionError,
     ResourceError,
-    bisect_preimage,
+    classify_preimage,
     compare_power_products,
     compare_self_power_to_rational,
     compare_self_power_to_root,
@@ -32,7 +32,6 @@ from selfpower import (
     lambda_decompose,
     padic_valuation,
     powers_equal,
-    reduce_fraction,
 )
 
 
@@ -122,24 +121,6 @@ def reference_factorize(n):
                 stack.append((f, mult))
                 stack.append((m // f, mult))
     return tuple(sorted(found.items()))
-
-
-class TestReduce:
-    def test_examples(self):
-        assert reduce_fraction(2, 4) == Fraction(1, 2)
-        assert reduce_fraction(-3, -6) == Fraction(1, 2)
-        assert reduce_fraction(0, 7) == Fraction(0, 1)
-
-    def test_zero_denominator(self):
-        with pytest.raises(DomainError):
-            reduce_fraction(1, 0)
-
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
-    def test_reduced_invariants(self, p, q):
-        f = reduce_fraction(p, q)
-        assert f.denominator >= 1
-        assert gcd(abs(f.numerator), f.denominator) == 1
-        assert f * q == p
 
 
 class TestFactorize:
@@ -678,7 +659,7 @@ class TestComparePowerProducts:
             q = Fraction(rng.randint(den + 1, 10**3), den)
             if q.denominator == 1 and any(j**j == q for j in range(2, 6)):
                 continue
-            root = bisect_preimage(q, Fraction(1, 2**30))[0]
+            root = classify_preimage(q, Fraction(1, 2**30)).interval[0]
             # the odd numerators keep the denominator at 2^k
             k = rng.randint(11, 13)
             j = int(root * 2 ** (k - 1))

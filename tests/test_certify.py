@@ -1,4 +1,4 @@
-"""Transcendence certificates: classification, exact bisection, convergence."""
+"""Transcendence certificates: classification, exact brackets, convergence."""
 
 import random
 from fractions import Fraction
@@ -15,7 +15,6 @@ from selfpower import (
     Ordering,
     ResourceError,
     UnsupportedInputError,
-    bisect_preimage,
     classify_preimage,
     compare_self_power_to_rational,
     powers_equal,
@@ -74,10 +73,6 @@ class TestHugeValuesInTexts:
         with pytest.raises(UnsupportedInputError, match=r"got 1/<16610-bit integer>$"):
             classify_preimage(Fraction(1, 10**5000))
 
-    def test_bisect_refusal(self):
-        with pytest.raises(UnsupportedInputError, match=r"got 1/<16610-bit integer>$"):
-            bisect_preimage(Fraction(1, 10**5000), 1)
-
     def test_ordinary_texts_keep_their_decimals(self):
         cert = classify_preimage(Fraction(5, 2), width=Fraction(1, 4))
         lo, hi = cert.interval
@@ -87,13 +82,11 @@ class TestHugeValuesInTexts:
         )
         with pytest.raises(UnsupportedInputError, match=r"got -7/3$"):
             classify_preimage(Fraction(-7, 3))
-        with pytest.raises(DomainError, match=r"^x\^x = 4 has the exact solution x = 2"):
-            bisect_preimage(4, Fraction(1, 8))
 
 
 class TestBisect:
     def test_interval_invariants(self):
-        lo, hi = bisect_preimage(Fraction(2), Fraction(1, 8))
+        lo, hi = classify_preimage(Fraction(2), Fraction(1, 8)).interval
         assert lo < hi and hi - lo <= Fraction(1, 8)
         assert compare_self_power_to_rational(lo, Fraction(2)) is Ordering.LESS
         assert compare_self_power_to_rational(hi, Fraction(2)) is Ordering.GREATER
@@ -104,35 +97,28 @@ class TestBisect:
         assert mp.mpf(hi.numerator) / hi.denominator > root
 
     def test_wide_bracket_example(self):
-        lo, hi = bisect_preimage(Fraction(27, 8), Fraction(1))
+        lo, hi = classify_preimage(Fraction(27, 8), Fraction(1)).interval
         assert hi - lo <= 1
         assert compare_self_power_to_rational(lo, Fraction(27, 8)) is Ordering.LESS
         assert compare_self_power_to_rational(hi, Fraction(27, 8)) is Ordering.GREATER
 
-    def test_refuses_exact_powers(self):
-        with pytest.raises(DomainError):
-            bisect_preimage(Fraction(4), Fraction(1, 8))
-        for n in range(2, 41):
-            with pytest.raises(DomainError, match=f"x = {n};"):
-                bisect_preimage(Fraction(n**n), Fraction(1))
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(UnsupportedInputError):
-            bisect_preimage(Fraction(1, 2), Fraction(1, 8))
+            classify_preimage(Fraction(1, 2), Fraction(1, 8))
         with pytest.raises(DomainError):
-            bisect_preimage(Fraction(2), Fraction(0))
+            classify_preimage(Fraction(2), Fraction(0))
 
     def test_halving_convergence(self):
         # width after k halvings of the unit bracket is at most 2^-k
         for k in (1, 5, 20, 40):
-            lo, hi = bisect_preimage(Fraction(2), Fraction(1, 2**k))
+            lo, hi = classify_preimage(Fraction(2), Fraction(1, 2**k)).interval
             assert hi - lo <= Fraction(1, 2**k)
             assert lo.denominator.bit_length() <= k + 2  # dyadic midpoints
 
     def test_iteration_cap(self):
         # the bracket [1, 2] needs 10001 halvings to reach 2^-10001
         with pytest.raises(ResourceError) as exc:
-            bisect_preimage(Fraction(2), Fraction(1, 2**10001))
+            classify_preimage(Fraction(2), Fraction(1, 2**10001))
         assert str(exc.value) == (
             "bisection to width 1/<10002-bit integer> needs 10001 halvings, "
             "past the cap of 10000 halvings"
@@ -148,7 +134,7 @@ class TestBisect:
 
         monkeypatch.setattr(certify, "compare_self_power_to_rational", recording)
         with pytest.raises(ResourceError):
-            bisect_preimage(2, Fraction(1, 2**10001))
+            classify_preimage(2, Fraction(1, 2**10001))
         assert [x for x in compared if x.denominator > 1] == []
 
     @pytest.mark.parametrize("q", [Fraction(2), Fraction(10, 3), Fraction(30)])
@@ -159,7 +145,7 @@ class TestBisect:
             Fraction(rng.randint(1, 1000), rng.randint(1, 10**6)) for _ in range(40)
         ]
         for width in widths:
-            lo, hi = bisect_preimage(q, width)
+            lo, hi = classify_preimage(q, width).interval
             start = max(2, -(-q.numerator // q.denominator)) - 1
             assert hi - lo <= width
             assert hi - lo == start or 2 * (hi - lo) > width

@@ -265,6 +265,27 @@ class TestGoldenOutputs:
             assert len(humans) == 1, humans
         assert humans == {"x^x = 27: solutions 3 (3 tests, enumeration)\n"}
 
+    def test_non_primitive_binomial_reads_as_its_primitive_one(self, capsys):
+        # c*P has the roots of P, so its content is divided out before the
+        # binomial is recognised, as the text of a rational is reduced
+        def outcome(alpha, flags):
+            try:
+                code = main(["solve", "--alpha", alpha, *flags])
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        for primitive, scaled in (
+            ("2*x^2 - 1", ("4*x^2 - 2", "[-2, 0, 4]", "-6*x^2 + 3", "2^70*x^2 - 2^69")),
+            ("3*x^3 - 2", ("6*x^3 - 4", "[-6, 0, 0, 9]")),
+            ("x - 2", ("2*x - 4", "[-8, 4]", "-4*x + 8")),
+            ("x^2 - 4", ("3*x^2 - 12", "[-12, 0, 3]")),
+        ):
+            for flags in ([], ["--json"], ["--verify-both"]):
+                expected = outcome(primitive, flags)
+                for alpha in scaled:
+                    assert outcome(alpha, flags) == expected, (alpha, flags)
+
     def test_solve_rational_alpha(self, capsys):
         out, _ = run_cli(capsys, ["solve", "--alpha", "27", "--json"])
         payload = json.loads(out)
@@ -571,7 +592,7 @@ _LOADS = {
 _STARTUP_PROBE = """
 import sys, selfpower.cli
 selfpower.cli.main(sys.argv[1:])
-heavy = [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+heavy = [m for m in ("dataclasses", "inspect", "random", "typing") if m in sys.modules]
 names = sorted(sys.modules)
 loaded = [m.removeprefix("selfpower.") for m in names if m.startswith("selfpower.")]
 print((heavy, loaded))

@@ -72,8 +72,9 @@ def _solve() -> list[list[str]]:
 
 
 def _minpoly(a: int, b: int) -> tuple[int, int, int]:
-    # (a/b)^(a/b) for coprime a, b whose perfect-power exponents share no
-    # factor with b; otherwise the same binomial from its reduced root
+    # s*x^d - r of (a/b)^(a/b), written out independently of the package: g
+    # is the largest divisor of b with a and b both perfect g-th powers, and
+    # float roots of integers below 25 round to the exact ones
     for g in range(b, 0, -1):
         ra, rb = round(a ** (1 / g)), round(b ** (1 / g))
         if b % g == 0 and ra**g == a and rb**g == b:
@@ -201,7 +202,7 @@ PINNED = {
     "pairs": "05f97ebe615f515fc56b586c3024d3867cba9bcb1632575abffd08116195db03",
     "powcheck": "5c95b6b3cc7c84a8aff2a1b9ca630bcb4d1b3152fdc33e255bed78bb1343440e",
     "powsearch": "5e4799a88fe84a946b6af418e92f0f4fb0f4cd8b3bd02bf29315a32aad4fce61",
-    "solve": "f78d442142173a05931a7ed4adaceaa2ac2299aa78929799e0459e3ca158533e",
+    "solve": "e121d149ed91fec0d5edd0c96e230dd61c092b12103826b29f8d86d8415e8753",
 }
 
 

@@ -12,7 +12,6 @@ import selfpower.solver as solver
 from selfpower import (
     AlgebraicTarget,
     Ordering,
-    bisect_preimage,
     classify_preimage,
     lambda_decompose,
     minimal_polynomial_of_self_power,
@@ -39,9 +38,6 @@ def test_scan_hit_recheck_raises(monkeypatch):
             id="integer_scan",
         ),
         pytest.param(lambda: classify_preimage(2), id="classify_preimage"),
-        pytest.param(
-            lambda: bisect_preimage(2, Fraction(1, 100)), id="bisect_preimage"
-        ),
     ],
 )
 def test_integer_scan_bound_raises(monkeypatch, scan):
@@ -70,7 +66,7 @@ def test_bisection_equality_raises(monkeypatch):
 
     monkeypatch.setattr(certify, "compare_self_power_to_rational", lying)
     with pytest.raises(AssertionError, match="contradicts the integer scan"):
-        bisect_preimage(Fraction(2), Fraction(1, 100))
+        classify_preimage(Fraction(2), Fraction(1, 100))
 
 
 def test_lambda_decompose_postcondition_raises(monkeypatch):

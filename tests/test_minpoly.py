@@ -301,7 +301,3 @@ class TestBinomialValidation:
 
     def test_as_polynomial(self):
         assert BinomialMinPoly(9, 3, 4).as_polynomial() == IntPolynomial((-4, 0, 0, 9))
-
-    def test_rational_root_view(self):
-        assert BinomialMinPoly(2, 1, 3).root_as_rational() == Fraction(3, 2)
-        assert BinomialMinPoly(2, 2, 1).root_as_rational() is None
