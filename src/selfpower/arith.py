@@ -8,9 +8,12 @@ rationals.
 
 Comparands of more than 10240 bits are ordered through rigorous fixed-point
 enclosures of log2 -- still integer-only; a sign is reported only once the
-enclosure excludes zero.  When a 64-bit enclosure cannot decide,
-comparands under the bit cap BIT_CAP are materialised; past it exact equality
-has been detected structurally beforehand, so no decision ever rests on an
+enclosure excludes zero.  The first enclosure is taken at the rung of the
+ladder 64 * 2^j that the caller says the comparison needs (64 bits unless
+told more; a certificate probe derives it from the bracket it has left).
+When that rung cannot decide, comparands under the bit cap BIT_CAP are
+materialised; past it the precision doubles, and exact equality has been
+detected structurally beforehand, so no decision ever rests on an
 approximation.
 """
 
@@ -584,9 +587,10 @@ def log2_interval(n: int, prec: int) -> tuple[int, int]:
     return _log2_interval(n, prec)
 
 
-# Bisection compares every halving against the same q, so the enclosures of
-# q's numerator and denominator repeat at each precision; the cache computes
-# them once.  Its keys can be long integers, hence the bound.
+# A certificate's cell search compares every probe against the same q, so the
+# enclosures of q's numerator and denominator repeat at each rung of the
+# ladder; the cache computes them once.  Its keys can be long integers, hence
+# the bound.
 @lru_cache(maxsize=256)
 def _log2_interval(n: int, prec: int) -> tuple[int, int]:
     k = n.bit_length() - 1
@@ -635,7 +639,11 @@ def floor_of_multiple_ln(mult: int, n: int) -> int:
 
 
 _MAX_LOG_PRECISION = 1 << 16
-#: Precision of the first log2 enclosure a comparison tries.
+#: Bottom rung of the ladder _LOG_START_PRECISION * 2^j, up to
+#: _MAX_LOG_PRECISION, on which compare_power_products takes every log2
+#: enclosure.  A comparison starts here unless its caller asks for more (a
+#: certificate probe asks for what its bracket needs); a start precision is
+#: rounded up to the ladder, so the enclosure caches see eleven precisions.
 _LOG_START_PRECISION = 64
 #: Products up to this many bits are materialised before any enclosure.  On
 #: certificate-shaped operands (2 cores, Python 3.11, 100 cases, best of 7,
@@ -682,13 +690,18 @@ def _log2_order(left, right, prec: int) -> Ordering | None:
 def compare_power_products(
     lhs: Iterable[tuple[int, int]],
     rhs: Iterable[tuple[int, int]],
+    *,
+    prec: int = _LOG_START_PRECISION,
 ) -> Ordering:
     """Exact order of two products of powers, given as (base, exponent) pairs.
 
     Bases must be >= 1 and exponents >= 0.  Products of at most _DIRECT_BITS
-    bits are compared directly.  Larger ones go to a 64-bit log2 enclosure
-    first; when it cannot separate them and both fit under BIT_CAP, they are
-    materialised, so equal products under the cap compare EQUAL.  Past
+    bits are compared directly.  Larger ones go to log2 enclosures at the
+    first rung of the ladder 64 * 2^j at or above prec, clamped at
+    _MAX_LOG_PRECISION; any rung that separates them proves the same order,
+    so prec changes no answer.  When that rung cannot separate them and both
+    fit under BIT_CAP, they are materialised, so equal products under the
+    cap compare EQUAL.  Past
     BIT_CAP the precision doubles until the enclosures separate: there exact
     equality must have been ruled out by the caller (structurally, as the
     self-power comparators do), and inputs that stay indistinguishable at the
@@ -705,14 +718,16 @@ def compare_power_products(
     )
     if bits <= min(_DIRECT_BITS, BIT_CAP):
         return _materialised_order(left, right)
-    prec = _LOG_START_PRECISION
-    while prec <= _MAX_LOG_PRECISION:
-        order = _log2_order(left, right, prec)
+    rung = _LOG_START_PRECISION
+    while rung < min(prec, _MAX_LOG_PRECISION):
+        rung <<= 1
+    while rung <= _MAX_LOG_PRECISION:
+        order = _log2_order(left, right, rung)
         if order is not None:
             return order
         if bits <= BIT_CAP:
             return _materialised_order(left, right)
-        prec <<= 1
+        rung <<= 1
     raise ResourceError(
         f"comparison unresolved at the log2 precision cap of "
         f"{number_text(_MAX_LOG_PRECISION)} bits; operands may be equal"
@@ -724,13 +739,15 @@ def _require_positive(q: Fraction, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {number_text(q)}")
 
 
-def compare_self_power_to_root(t: Fraction, d: int, r: int, s: int) -> Ordering:
+def compare_self_power_to_root(
+    t: Fraction, d: int, r: int, s: int, *, prec: int = _LOG_START_PRECISION
+) -> Ordering:
     """Exact order of t**t versus the positive real d-th root of r/s.
 
     Requires t > 0, d >= 1, r, s >= 1 with gcd(r, s) = 1.  Raising both sides
     to the b*d-th power turns the question into the integer comparison
     a^(a*d) * s^b vs b^(a*d) * r^b; equality splits into a^(a*d) = r^b and
-    b^(a*d) = s^b.
+    b^(a*d) = s^b.  prec is the start precision compare_power_products takes.
     """
     _require_positive(t, "t")
     if d < 1 or r < 1 or s < 1:
@@ -743,15 +760,18 @@ def compare_self_power_to_root(t: Fraction, d: int, r: int, s: int) -> Ordering:
     e = a * d
     if powers_equal(a, e, r, b) and powers_equal(b, e, s, b):
         return Ordering.EQUAL
-    return compare_power_products([(a, e), (s, b)], [(b, e), (r, b)])
+    return compare_power_products([(a, e), (s, b)], [(b, e), (r, b)], prec=prec)
 
 
-def compare_self_power_to_rational(t: Fraction, q: Fraction) -> Ordering:
+def compare_self_power_to_rational(
+    t: Fraction, q: Fraction, *, prec: int = _LOG_START_PRECISION
+) -> Ordering:
     """Exact order of t**t versus the rational q, both positive.
 
-    The d = 1 case of compare_self_power_to_root: writing t = a/b and q = m/n
-    in lowest terms, t^t vs q is the integer comparison a^a * n^b vs
-    b^a * m^b, and equality splits into a^a = m^b and b^a = n^b.
+    The d = 1 case of compare_self_power_to_root, with the same start
+    precision prec: writing t = a/b and q = m/n in lowest terms, t^t vs q is
+    the integer comparison a^a * n^b vs b^a * m^b, and equality splits into
+    a^a = m^b and b^a = n^b.
     """
     _require_positive(q, "q")
-    return compare_self_power_to_root(t, 1, q.numerator, q.denominator)
+    return compare_self_power_to_root(t, 1, q.numerator, q.denominator, prec=prec)

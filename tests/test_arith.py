@@ -673,3 +673,87 @@ class TestComparePowerProducts:
             lprod, rprod = prod(b**e for b, e in lhs), prod(b**e for b, e in rhs)
             expected = Ordering.of_sign((lprod > rprod) - (lprod < rprod))
             assert compare_power_products(lhs, rhs) is expected, (lhs, rhs)
+
+
+def _certificate_pairs(rng, ks):
+    # the two sides a^a * n^b and b^a * m^b of t^t vs q = m/n, at t = a/2^k
+    # with odd a next to the root of x^x = q, where the sides are closest
+    pairs = []
+    for k in ks:
+        den = rng.choice((1, 2, 3, 7))
+        q = Fraction(rng.randint(den + 1, 10**3), den)
+        if q.denominator == 1 and any(j**j == q for j in range(2, 6)):
+            q += 1
+        root = classify_preimage(q, Fraction(1, 2 ** (k + 2))).interval[0]
+        j = int(root * 2 ** (k - 1))
+        for t in (Fraction(2 * j + i, 2**k) for i in (-1, 1, 3)):
+            a, b = t.numerator, t.denominator
+            m, n = q.numerator, q.denominator
+            pairs.append(([(a, a), (n, b)], [(b, a), (m, b)]))
+    return pairs
+
+
+@pytest.fixture
+def tried_rungs(monkeypatch):
+    """The precision of every log2 order compare_power_products tries."""
+    tried = []
+    real = arith._log2_order
+
+    def recording(left, right, rung):
+        tried.append(rung)
+        return real(left, right, rung)
+
+    monkeypatch.setattr(arith, "_log2_order", recording)
+    return tried
+
+
+class TestStartPrecision:
+    RUNGS = [arith._LOG_START_PRECISION << j for j in range(11)]
+
+    def test_every_start_rung_gives_the_default_order(self):
+        # k = 12 stays under the bit cap, where the default start multiplies
+        # out whenever 64 bits cannot decide; k = 16, 100 and 300 give
+        # near-equal products past it, where the default climbs the ladder.
+        # One enclosure of ln 2 at 2^15 bits takes seconds and at 2^16 half
+        # a minute, so the random pairs stop at 8192 bits and the upper
+        # rungs run on bases that are powers of two.
+        rng = random.Random(2026)
+        for lhs, rhs in _certificate_pairs(rng, (12, 12, 16, 100, 100, 300)):
+            default = compare_power_products(lhs, rhs)
+            for rung in self.RUNGS[:8]:
+                assert compare_power_products(lhs, rhs, prec=rung) is default, (lhs, rhs, rung)
+            bits = max(sum(e * b.bit_length() for b, e in side) for side in (lhs, rhs))
+            if bits <= arith.BIT_CAP:
+                lprod, rprod = prod(b**e for b, e in lhs), prod(b**e for b, e in rhs)
+                assert default is Ordering.of_sign((lprod > rprod) - (lprod < rprod))
+        lhs, rhs = [(2, 3 * arith.BIT_CAP + 1)], [(8, arith.BIT_CAP)]
+        for rung in self.RUNGS + [arith._MAX_LOG_PRECISION << 1]:
+            assert compare_power_products(lhs, rhs, prec=rung) is Ordering.GREATER
+            assert compare_power_products(rhs, lhs, prec=rung) is Ordering.LESS
+
+    @pytest.mark.parametrize(
+        "prec, first",
+        [(1, 64), (64, 64), (65, 128), (100, 128), (3000, 4096), (1 << 16, 1 << 16),
+         ((1 << 16) + 1, 1 << 16), (1 << 40, 1 << 16)],
+    )
+    def test_start_is_the_first_rung_at_or_above_prec_clamped_at_the_cap(
+        self, monkeypatch, tried_rungs, prec, first
+    ):
+        # 2^2 = 4^1 past a bit cap of 1: every rung overlaps, so the ladder
+        # is climbed from the start to the cap and only then refused
+        monkeypatch.setattr(arith, "BIT_CAP", 1)
+        with pytest.raises(ResourceError) as exc:
+            compare_power_products([(2, 2)], [(4, 1)], prec=prec)
+        assert str(exc.value) == (
+            "comparison unresolved at the log2 precision cap of 65536 bits; "
+            "operands may be equal"
+        )
+        assert tried_rungs == self.RUNGS[self.RUNGS.index(first) :]
+
+    def test_self_power_comparators_pass_the_start_on(self, tried_rungs):
+        t = Fraction(3_351_079_888, 2**31)
+        default = compare_self_power_to_rational(t, Fraction(2))
+        assert tried_rungs == [64]
+        assert compare_self_power_to_rational(t, Fraction(2), prec=200) is default
+        assert compare_self_power_to_root(t, 1, 2, 1, prec=1000) is default
+        assert tried_rungs == [64, 256, 1024]

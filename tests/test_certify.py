@@ -313,3 +313,33 @@ class TestNarrowCertificates:
         root = mp.findroot(lambda x: x * mp.ln(x) - ln_q, 2)
         assert mp.mpf(lo.numerator) / lo.denominator < root
         assert root < mp.mpf(hi.numerator) / hi.denominator
+
+
+class TestProbeStartPrecision:
+    # Each probe of the cell search starts its log2 enclosures at the rung
+    # its bracket needs, instead of climbing to it from 64 bits.
+    def test_few_enclosures_cannot_decide(self, monkeypatch):
+        calls, undecided = [], []
+        real = arith._log2_order
+
+        def counting(left, right, prec):
+            order = real(left, right, prec)
+            calls.append(prec)
+            if order is None:
+                undecided.append(prec)
+            return order
+
+        monkeypatch.setattr(arith, "_log2_order", counting)
+        classify_preimage(2, Fraction(1, 10**300))
+        # climbing from 64 bits, 3,031 of 4,019 calls could not decide
+        assert len(calls) < 1000
+        assert len(undecided) <= 4
+
+    def test_enclosure_precisions_stay_on_the_ladder(self):
+        # ln 2's enclosure cache is unbounded; a start off the ladder would
+        # add a precision per probe
+        arith._ln2_interval.cache_clear()
+        for digits in (9, 40, 150, 300, 600):
+            classify_preimage(Fraction(2), Fraction(1, 10**digits))
+            classify_preimage(Fraction(3, 2), Fraction(1, 10**digits))
+        assert arith._ln2_interval.cache_info().currsize <= 11

@@ -61,8 +61,8 @@ def test_bisection_bracket_raises(monkeypatch):
 def test_bisection_equality_raises(monkeypatch):
     real = certify.compare_self_power_to_rational
 
-    def lying(x, q):
-        return real(x, q) if x.denominator == 1 else Ordering.EQUAL
+    def lying(x, q, **kwargs):
+        return real(x, q, **kwargs) if x.denominator == 1 else Ordering.EQUAL
 
     monkeypatch.setattr(certify, "compare_self_power_to_rational", lying)
     with pytest.raises(AssertionError, match="contradicts the integer scan"):
