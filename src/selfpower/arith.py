@@ -434,7 +434,18 @@ def integer_kth_root(n: int, k: int) -> int | None:
     if n in (0, 1):
         return n
     m = _kth_root_floor(n, k)
+    # n >= 2 is no power of 1, and 1**k would cost one squaring per bit of k
+    if m == 1:
+        return None
     return m if m**k == n else None
+
+
+def _sizes_overlap(x: int, p: int, y: int, q: int) -> bool:
+    """False when x**p and y**q, for x, y >= 1 and p, q >= 1, cannot be equal
+    by size: x**p has between p*(bit_length(x) - 1) + 1 and p*bit_length(x)
+    bits, and the two windows must meet."""
+    blx, bly = x.bit_length(), y.bit_length()
+    return p * (blx - 1) < q * bly and q * (bly - 1) < p * blx
 
 
 def _bounded_pow_equals(base: int, exp: int, target: int) -> bool:
@@ -443,10 +454,7 @@ def _bounded_pow_equals(base: int, exp: int, target: int) -> bool:
     The power is only materialised when the bit-length windows of both sides
     overlap, which caps its size near the size of target.
     """
-    bl, blt = base.bit_length(), target.bit_length()
-    if exp * (bl - 1) >= blt or exp * bl <= blt - 1:
-        return False
-    return base**exp == target
+    return _sizes_overlap(base, exp, target, 1) and base**exp == target
 
 
 def powers_equal(x: int, p: int, y: int, q: int) -> bool:
@@ -512,7 +520,8 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
 #   2. ln y = 2 atanh(z) = 2 sum_{j>=0} z^(2j+1) / (2j+1), z = (y-1)/(y+1),
 #      and z < 2^-(r+1), so each term is 2r + 2 bits below the last and
 #      J ~ w / (2r + 2) terms reach 2^-w;
-#   3. ln 2 = 2 atanh(1/3) is the same series, and log2 x = ln x / ln 2.
+#   3. ln 2 is ln x at x = 2 by the same chain and series, and
+#      log2 x = ln x / ln 2.
 #
 # Every quantity is a fixed-point integer in units of 2^-w, and only the
 # lower end is computed: one chain of floored square roots and one series of
@@ -546,6 +555,16 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
 # 2 sqrt(prec) and the width stays under 2^-6 ulp at every prec from 1 to
 # 2^16 (at prec = 1, J <= 4 and the width is below 61 / 2^13): hi - lo is 1,
 # or 2 where 2^prec log2(n) lies that close to an integer.
+#
+# ln 2's enclosure at prec bits is this one at x = 2, where y_0 = 2^(w+1) is
+# exact and 2^(2^-r) < 1 + 2^-r still gives z < 2^-(r+1), with the same r and
+# w = prec + shift, shift = r + _LOG_GUARD_BITS + prec.bit_length().  Its
+# ends differ by at most 2^(r+1) (3J + 8) units of 2^-w, and
+# 3J + 8 <= 3 w / 4 + 10 < 2^(_LOG_GUARD_BITS - 1) (prec + 1) at every
+# prec >= 1, so by less than one unit of 2^-prec; rounding lo down and hi up
+# to units of 2^-prec leaves hi - lo <= 2.  It costs one ln x at w bits,
+# O(sqrt(prec)) multiplications instead of the ~prec / 3 that the series
+# 2 atanh(1/3) needs on integers of the full width.
 _LOG_GUARD_BITS = 12
 
 
@@ -568,7 +587,7 @@ def _root_count(prec: int) -> int:
 
 
 def _ln_mantissa(n: int, k: int, r: int, w: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^w ln(n / 2^k) <= hi, for 2^k <= n < 2^(k+1),
+    """(lo, hi) with lo <= 2^w ln(n / 2^k) <= hi, for 2^k <= n <= 2^(k+1),
     through r >= 1 square roots."""
     y = n >> (k - w) if k >= w else n << (w - k)
     for _ in range(r):
@@ -607,13 +626,12 @@ def _log2_interval(n: int, prec: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _ln2_interval(prec: int) -> tuple[int, int]:
-    # ln 2 = 2 atanh(1/3): at w = prec + g bits the series' ends differ by
-    # at most 3J + 6 < w + 16 units, and 2^g > 256 prec keeps twice that
-    # below one unit of 2^-prec
-    g = prec.bit_length() + 8
-    z = (1 << (prec + g)) // 3
-    lo, hi = _atanh_sums(z, z + 1, prec + g)
-    return (2 * lo) >> g, -((-2 * hi) >> g)
+    # ln 2 is ln x at x = 2, by the same chain and series; the bound is
+    # stated above _LOG_GUARD_BITS
+    r = _root_count(prec)
+    shift = r + _LOG_GUARD_BITS + prec.bit_length()
+    lo, hi = _ln_mantissa(2, 0, r, prec + shift)
+    return lo >> shift, -(-hi >> shift)
 
 
 def ln_interval(n: int, prec: int) -> tuple[int, int]:
@@ -747,7 +765,9 @@ def compare_self_power_to_root(
     Requires t > 0, d >= 1, r, s >= 1 with gcd(r, s) = 1.  Raising both sides
     to the b*d-th power turns the question into the integer comparison
     a^(a*d) * s^b vs b^(a*d) * r^b; equality splits into a^(a*d) = r^b and
-    b^(a*d) = s^b.  prec is the start precision compare_power_products takes.
+    b^(a*d) = s^b, each tested exactly only where its two sides can have the
+    same bit length.  prec is the start precision compare_power_products
+    takes.
     """
     _require_positive(t, "t")
     if d < 1 or r < 1 or s < 1:
@@ -758,7 +778,14 @@ def compare_self_power_to_root(
         )
     a, b = t.numerator, t.denominator
     e = a * d
-    if powers_equal(a, e, r, b) and powers_equal(b, e, s, b):
+    # sides that differ in size need no root extraction; a certificate probe
+    # t = a/2^j almost never has a^a and m^b of one size
+    if (
+        _sizes_overlap(a, e, r, b)
+        and _sizes_overlap(b, e, s, b)
+        and powers_equal(a, e, r, b)
+        and powers_equal(b, e, s, b)
+    ):
         return Ordering.EQUAL
     return compare_power_products([(a, e), (s, b)], [(b, e), (r, b)], prec=prec)
 

@@ -107,12 +107,51 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
+# integers past this many bits are written through decimal: str takes time
+# quadratic in the length before Python 3.12, about 1.7 s at 983,041 bits
+_DECIMAL_OUTPUT_BITS = 8192
+
+
+def _int_text(n: int) -> str:
+    """str(n), in time quasi-linear in the length of n.
+
+    Past _DECIMAL_OUTPUT_BITS, n is split at half its bits and the halves
+    are converted recursively into Decimals and recombined by decimal's
+    exact multiplication, which is subquadratic; CPython 3.12 converts
+    large ints the same way (_pylong.int_to_decimal_string).
+    """
+    if n.bit_length() <= _DECIMAL_OUTPUT_BITS:
+        return str(n)
+    import decimal
+    from functools import cache
+
+    @cache
+    def power(w):  # 2^w
+        if w <= 128:
+            return decimal.Decimal(1 << w)
+        return power(w >> 1) * power(w - (w >> 1))
+
+    def convert(m, w):  # m < 2^w
+        if w <= 128:
+            return decimal.Decimal(m)
+        h = w >> 1
+        top = m >> h
+        return convert(top, w - h) * power(h) + convert(m - (top << h), h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return text if n > 0 else "-" + text
+
+
 @_all_digits()
 def format_fraction(q: Fraction) -> str:
     """Canonical rendering 'a/b', with '/b' omitted for integers."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +301,10 @@ def _render_terms(terms) -> str:
     for k, c in terms:
         mag = abs(c)
         if k == 0:
-            body = str(mag)
+            body = _int_text(mag)
         else:
             xpart = "x" if k == 1 else f"x^{k}"
-            body = xpart if mag == 1 else f"{mag}*{xpart}"
+            body = xpart if mag == 1 else f"{_int_text(mag)}*{xpart}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

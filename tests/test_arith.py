@@ -463,6 +463,15 @@ class TestIntegerKthRoot:
         # binary search on the bit-length bracket takes about 8 s
         assert time.perf_counter() - start < 2
 
+    def test_floor_root_one_is_no_root(self):
+        # 2 <= n < 2^k has floor root 1; 1**k would take one squaring per
+        # bit of k, 106 ms here
+        k = 1 << 10_000_000
+        start = time.perf_counter()
+        assert integer_kth_root(3, k) is None
+        assert integer_kth_root((1 << 64) - 1, 64) is None
+        assert time.perf_counter() - start < 0.01
+
     @given(st.integers(1, 10**12), st.integers(2, 8))
     @settings(max_examples=300, deadline=None)
     def test_absence_is_real(self, n, k):
@@ -524,6 +533,33 @@ class TestLambdaDecompose:
                     assert lambda_decompose(x, y, a, b) == lam
 
 
+# (t, d, r, s, order of t^t against (r/s)^(1/d)) at the edges of the size
+# test that comes before each exact equality a^(a*d) = r^b, b^(a*d) = s^b:
+# x^p has between p*(bits(x) - 1) + 1 and p*bits(x) bits
+_ROOT_CASES = [
+    # a^(a*d) = r^b holds exactly, with b^(a*d) = s^b too
+    (Fraction(9, 4), 2, 3**9, 2**9, Ordering.EQUAL),
+    (Fraction(4), 1, 256, 1, Ordering.EQUAL),
+    (Fraction(2), 1, 4, 1, Ordering.EQUAL),
+    # a^(a*d) = r^b holds exactly and b^(a*d) = s^b does not: 4^18 has 37 to
+    # 54 bits, 511^4 33 to 36 (one bit short) and 514^4 37 to 40 (one shared)
+    (Fraction(9, 4), 2, 3**9, 511, Ordering.LESS),
+    (Fraction(9, 4), 2, 3**9, 514, Ordering.GREATER),
+    (Fraction(8, 3), 1, 256, 5, Ordering.LESS),
+    (Fraction(8, 3), 1, 256, 1, Ordering.LESS),
+    # 2^2 has 3 to 4 bits: r = 16 (5 bits) and r = 3 (2 bits) miss it by one
+    # bit, r = 15 (4 bits) shares one
+    (Fraction(2), 1, 16, 1, Ordering.LESS),
+    (Fraction(2), 1, 3, 1, Ordering.GREATER),
+    (Fraction(2), 1, 15, 1, Ordering.LESS),
+    # 3^12 has 13 to 24 bits: 7^4 (9 to 12) and 64^4 (25 to 28) miss it by
+    # one bit, 8^4 (13 to 16) overlaps it
+    (Fraction(3, 4), 4, 7, 1, Ordering.LESS),
+    (Fraction(3, 4), 4, 64, 1, Ordering.LESS),
+    (Fraction(3, 4), 4, 8, 1, Ordering.LESS),
+]
+
+
 class TestSelfPowerComparators:
     def test_rational_examples(self):
         assert (
@@ -533,11 +569,20 @@ class TestSelfPowerComparators:
         assert 1**1 * 2**2 == 4 > 2 == 2**1 * 1**2  # the cross form
         assert compare_self_power_to_rational(Fraction(1), Fraction(1)) is Ordering.EQUAL
         assert compare_self_power_to_rational(Fraction(2), Fraction(4)) is Ordering.EQUAL
+        for t, d, q, s, expected in _ROOT_CASES:
+            if d == 1:
+                got = compare_self_power_to_rational(t, Fraction(q, s))
+                assert got is expected, (t, q, s)
 
     def test_root_examples(self):
         assert compare_self_power_to_root(Fraction(1, 2), 2, 1, 2) is Ordering.EQUAL
         assert compare_self_power_to_root(Fraction(1, 4), 2, 1, 2) is Ordering.EQUAL
         assert compare_self_power_to_root(Fraction(2), 1, 3, 1) is Ordering.GREATER
+        for t, d, r, s, expected in _ROOT_CASES:
+            a, b = t.numerator, t.denominator
+            lhs, rhs = a ** (a * d) * s**b, b ** (a * d) * r**b
+            assert Ordering.of_sign((lhs > rhs) - (lhs < rhs)) is expected
+            assert compare_self_power_to_root(t, d, r, s) is expected, (t, d, r, s)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -714,8 +759,8 @@ class TestStartPrecision:
         # k = 12 stays under the bit cap, where the default start multiplies
         # out whenever 64 bits cannot decide; k = 16, 100 and 300 give
         # near-equal products past it, where the default climbs the ladder.
-        # One enclosure of ln 2 at 2^15 bits takes seconds and at 2^16 half
-        # a minute, so the random pairs stop at 8192 bits and the upper
+        # One enclosure of an odd base takes about 0.3 s at 2^15 bits and
+        # 1.4 s at 2^16, so the random pairs stop at 8192 bits and the upper
         # rungs run on bases that are powers of two.
         rng = random.Random(2026)
         for lhs, rhs in _certificate_pairs(rng, (12, 12, 16, 100, 100, 300)):

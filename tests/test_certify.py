@@ -335,6 +335,21 @@ class TestProbeStartPrecision:
         assert len(calls) < 1000
         assert len(undecided) <= 4
 
+    def test_probes_extract_no_roots(self, monkeypatch):
+        # no probe a/2^j has t^t = q (a rational x^x is an integer's), and
+        # the size test rules out a^a = m^b before any root extraction;
+        # without it every one of the 1,001 probes took a 2^j-th root
+        calls = []
+        real = arith.powers_equal
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arith, "powers_equal", counting)
+        classify_preimage(2, Fraction(1, 10**300))
+        assert len(calls) < 10
+
     def test_enclosure_precisions_stay_on_the_ladder(self):
         # ln 2's enclosure cache is unbounded; a start off the ladder would
         # add a precision per probe

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfpower import BinomialMinPoly, IntPolynomial, ParseError
+from selfpower import cli
 from selfpower.cli import (
     _all_digits,
     _format_binomial,
@@ -225,6 +227,25 @@ class TestParsePolynomial:
     def test_fraction_rendering(self):
         assert format_fraction(Fraction(3, 1)) == "3"
         assert format_fraction(Fraction(-8, 27)) == "-8/27"
+
+
+def test_long_integers_are_written_as_str_writes_them():
+    # past the threshold integers go through decimal, below it through str
+    rng = random.Random(20)
+    cut = cli._DECIMAL_OUTPUT_BITS
+    sizes = [1, 2, 127, 128, 129, cut - 1, cut, cut + 1, 2 * cut, 1 << 20]
+    sizes += [int(2 ** rng.uniform(0, 20)) for _ in range(24)]
+    values = [1 << cut, (1 << cut) - 1, 10**2466, 10**2467 - 1, 10**5000]
+    values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
+    with _all_digits():
+        assert cli._int_text(0) == "0"
+        for n in values:
+            text = str(n)
+            assert cli._int_text(n) == text, n.bit_length()
+            assert cli._int_text(-n) == "-" + text, n.bit_length()
+        n = rng.getrandbits(3 * cut) | 1
+        assert format_fraction(Fraction(-n, 2)) == f"-{n}/2"
+        assert _format_binomial(BinomialMinPoly(n, 2, 2)) == f"{n}*x^2 - 2"
 
 
 class TestGoldenOutputs:
@@ -518,6 +539,9 @@ _ADVERSARIAL = [
         9,
         id="value-at-bit-cap",
     ),
+    # x and y with numerators and denominators of about 952,000 bits, written
+    # in decimal: 8.7 s when str wrote them
+    pytest.param(["pairs", "--m", "60000"], 5, id="pair-at-bit-cap"),
     pytest.param(
         ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
     ),

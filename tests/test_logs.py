@@ -4,9 +4,13 @@ mpmath supplies the high-precision oracle; its working precision is scaled
 with the enclosure precision so the oracle is never the weaker side.
 """
 
+import os
 import random
+import subprocess
+import sys
 import types
 from math import isqrt
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -224,6 +228,34 @@ def test_ln2_interval(prec):
     v = mp.ln(2) * (1 << prec)
     assert lo <= v <= hi
     assert hi - lo <= 2
+
+
+def test_ln2_interval_at_every_precision():
+    for prec in [*range(1, 4097), 1 << 14]:
+        _set_dps(prec)
+        lo, hi = _ln2_interval(prec)
+        v = mp.ln(2) * (1 << prec)
+        assert lo <= v <= hi, prec
+        assert hi - lo <= 2, prec
+
+
+def test_ln2_interval_at_the_top_rung_is_fast():
+    # a fresh process holds no cached enclosure; 2 atanh(1/3) on integers of
+    # the full width took about 31 s here
+    code = (
+        "import time; from selfpower import arith; t = time.perf_counter(); "
+        "arith._ln2_interval(1 << 16); print(time.perf_counter() - t)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 5
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 6561, 2**64 + 1, 40**40 + 7])
