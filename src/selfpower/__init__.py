@@ -26,7 +26,6 @@ _HOME = {
     "integer_kth_root": "arith",
     "is_prime": "arith",
     "lambda_decompose": "arith",
-    "padic_valuation": "arith",
     "powers_equal": "arith",
     "Certificate": "certify",
     "classify_preimage": "certify",

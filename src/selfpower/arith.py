@@ -373,15 +373,6 @@ def factorize(n: int) -> Factorization:
     return tuple(sorted(found.items()))
 
 
-def padic_valuation(p: int, n: int) -> int:
-    """The exact exponent of the prime p in n >= 1."""
-    if n < 1:
-        raise DomainError("padic_valuation requires n >= 1")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _remove_prime(n, p)[1]
-
-
 # ---------------------------------------------------------------------------
 # perfect powers and common-base extraction
 # ---------------------------------------------------------------------------
@@ -448,15 +439,6 @@ def _sizes_overlap(x: int, p: int, y: int, q: int) -> bool:
     return p * (blx - 1) < q * bly and q * (bly - 1) < p * blx
 
 
-def _bounded_pow_equals(base: int, exp: int, target: int) -> bool:
-    """base**exp == target for base >= 2, exp >= 1, without oversizing.
-
-    The power is only materialised when the bit-length windows of both sides
-    overlap, which caps its size near the size of target.
-    """
-    return _sizes_overlap(base, exp, target, 1) and base**exp == target
-
-
 def powers_equal(x: int, p: int, y: int, q: int) -> bool:
     """Exact test x**p == y**q for x, y >= 1 and p, q >= 0, never forming
     either power in full.
@@ -474,20 +456,15 @@ def powers_equal(x: int, p: int, y: int, q: int) -> bool:
     g = gcd(p, q)
     p, q = p // g, q // g
     lam = integer_kth_root(x, q)
-    if lam is None:
-        return False
-    if lam == 1:
-        return y == 1
-    if p == 1:
-        return lam == y
-    return _bounded_pow_equals(lam, p, y)
+    return lam is not None and _sizes_overlap(lam, p, y, 1) and lam**p == y
 
 
 def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
     """Common base of x^a = y^b: the unique lam with lam**b = x and lam**a = y.
 
-    Requires x, y, a, b >= 1 with gcd(a, b) = 1; the hypothesis x^a = y^b is
-    checked and its failure reported as a precondition violation.
+    Requires x, y, a, b >= 1 with gcd(a, b) = 1.  The hypothesis x^a = y^b
+    holds exactly when lam = x^(1/b) is an integer with lam**a = y; that one
+    root is taken, and a failure is reported as a precondition violation.
     """
     if min(x, y, a, b) < 1:
         raise DomainError("lambda_decompose requires positive integers")
@@ -495,13 +472,11 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
         raise DomainError(
             f"exponents must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
         )
-    if not powers_equal(x, a, y, b):
+    lam = integer_kth_root(x, b)
+    if lam is None or not (_sizes_overlap(lam, a, y, 1) and lam**a == y):
         raise PreconditionError(
             f"{number_text(x)}^{number_text(a)} != {number_text(y)}^{number_text(b)}"
         )
-    lam = integer_kth_root(x, b)
-    if lam is None:  # impossible once x^a = y^b holds with coprime a, b
-        raise AssertionError(f"{x}^(1/{b}) is not an integer although {x}^{a} = {y}^{b}")
     return lam
 
 

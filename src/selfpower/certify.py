@@ -35,9 +35,9 @@ from .solver import AlgebraicTarget, integer_scan
 
 #: Width of the isolating interval classify_preimage returns by default.
 DEFAULT_WIDTH = Fraction(1, 10**9)
-#: Halvings of [1, H] a certificate's grid may take; a narrower width is
-#: refused up front.
-_MAX_HALVINGS = 10_000
+#: Probes, one exact comparison each, that a certificate's cell search may
+#: make; a width that needs more is refused up front.
+_MAX_PROBES = 10_000
 
 
 class Certificate(namedtuple("Certificate", "q integer_scan_trace interval statement")):
@@ -74,11 +74,19 @@ def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
     # k halvings leave cells of width span / 2^k, so the fewest that reach
     # width are the least k with 2^k >= m, where m = ceil(span / width), and
     # that k is the bit length of m - 1
-    halvings = (-(-span // width) - 1).bit_length()
-    if halvings > _MAX_HALVINGS:
+    cells = 1 << (-(-span // width) - 1).bit_length()
+    # grid point j is 1 + j*span/cells; the scan puts the last one at or
+    # below n - 1 under the root and the first one at or above n over it
+    lo = (n - 2) * cells // span
+    hi = -(-(n - 1) * cells // span)
+    # each probe leaves at most half of hi - lo, rounded up, so the search
+    # below ends within ceil(log2(hi - lo)) probes; the grid's halvings that
+    # fall outside (n - 1, n) cost none
+    probes = (hi - lo - 1).bit_length()
+    if probes > _MAX_PROBES:
         raise ResourceError(
-            f"bisection to width {number_text(width)} needs {number_text(halvings)} "
-            f"halvings, past the cap of {number_text(_MAX_HALVINGS)} halvings"
+            f"bisection to width {number_text(width)} needs {number_text(probes)} "
+            f"probes, past the cap of {number_text(_MAX_PROBES)} probes"
         )
     # x^x is strictly increasing on [1, inf); these endpoints straddle q
     if (
@@ -88,11 +96,6 @@ def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
         raise AssertionError(
             f"[1, {number_text(top)}] does not bracket the preimage of {number_text(q)}"
         )
-    cells = 1 << halvings
-    # grid point j is 1 + j*span/cells; the scan puts the last one at or
-    # below n - 1 under the root and the first one at or above n over it
-    lo = (n - 2) * cells // span
-    hi = -(-(n - 1) * cells // span)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         x = Fraction(cells + mid * span, cells)
@@ -134,8 +137,7 @@ def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     """The integer n with n^n = q when one exists; otherwise a transcendence
     certificate for the unique real x > 1 with x^x = q, whose interval is an
     exact isolating bracket of width at most width.  Requires q > 1; a width
-    that needs more than _MAX_HALVINGS halvings of [1, max(2, ceil(q))] is
-    refused."""
+    whose cell search needs more than _MAX_PROBES probes is refused."""
     q = Fraction(q)
     if q <= 1:
         raise UnsupportedInputError(

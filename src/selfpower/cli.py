@@ -373,7 +373,7 @@ def _cmd_minpoly(args):
 
     q = parse_rational(args.fraction)
     if q <= 0:
-        raise DomainError(f"need a positive rational, got {format_fraction(q)}")
+        raise DomainError(f"need a positive rational, got {number_text(q)}")
     binomial = minimal_polynomial_of_self_power(q.numerator, q.denominator)
     payload = {"d": binomial.d, "r": binomial.r, "s": binomial.s}
     human = (
@@ -389,7 +389,7 @@ def _cmd_powcheck(args):
     poly = parse_polynomial(args.poly)
     x = parse_rational(args.x)
     if x <= 0:
-        raise ParseError(f"x must be positive, got {format_fraction(x)}")
+        raise ParseError(f"x must be positive, got {number_text(x)}")
     verdict = analyze_poly_power(poly, x)
     value = None if verdict.rational is None else format_fraction(verdict.rational)
     # the exponent may have ~300,000 digits, and writing it costs seconds

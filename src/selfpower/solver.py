@@ -324,19 +324,34 @@ def commuting_pair(m: int) -> tuple[Fraction, Fraction]:
     return 1 / x, 1 / y
 
 
-def verify_equal_self_powers(x: Fraction, y: Fraction) -> bool:
-    """Exact truth of x^x = y^y: both sides raised to den(x)*den(y)."""
+def _pair_exponents(x: Fraction, y: Fraction) -> tuple[int, int]:
+    """(a*d, c*b) divided by their gcd, for positive x = a/b and y = c/d in
+    lowest terms, without forming either product.
+
+    With g = gcd(a, c) and h = gcd(b, d), a*d = g*h * (a/g)*(d/h) and
+    c*b = g*h * (c/g)*(b/h).  The two cofactors are coprime: a/g and c/g by
+    the choice of g, d/h and b/h by that of h, and a/g and b/h, c/g and d/h
+    because x and y are reduced.
+    """
     if x <= 0 or y <= 0:
         raise DomainError("x and y must be positive")
     a, b = x.numerator, x.denominator
     c, d = y.numerator, y.denominator
-    return powers_equal(a, a * d, c, c * b) and powers_equal(b, a * d, d, c * b)
+    g, h = gcd(a, c), gcd(b, d)
+    return a // g * (d // h), c // g * (b // h)
+
+
+def verify_equal_self_powers(x: Fraction, y: Fraction) -> bool:
+    """Exact truth of x^x = y^y: both sides raised to den(x)*den(y)."""
+    p, q = _pair_exponents(x, y)
+    return powers_equal(x.numerator, p, y.numerator, q) and powers_equal(
+        x.denominator, p, y.denominator, q
+    )
 
 
 def verify_commuting(x: Fraction, y: Fraction) -> bool:
     """Exact truth of x^y = y^x: both sides raised to den(x)*den(y)."""
-    if x <= 0 or y <= 0:
-        raise DomainError("x and y must be positive")
-    a, b = x.numerator, x.denominator
-    c, d = y.numerator, y.denominator
-    return powers_equal(a, c * b, c, a * d) and powers_equal(b, c * b, d, a * d)
+    p, q = _pair_exponents(x, y)
+    return powers_equal(x.numerator, q, y.numerator, p) and powers_equal(
+        x.denominator, q, y.denominator, p
+    )

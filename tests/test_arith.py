@@ -30,7 +30,6 @@ from selfpower import (
     integer_kth_root,
     is_prime,
     lambda_decompose,
-    padic_valuation,
     powers_equal,
 )
 
@@ -393,18 +392,15 @@ class TestPrimality:
 
 
 class TestPadicValuation:
+    # arith._remove_prime(n, p) is (n / p^v, v) with v the p-adic valuation
     def test_examples(self):
-        assert padic_valuation(2, 12) == 2
-        assert padic_valuation(5, 12) == 0
-        assert padic_valuation(3, 6561) == 8
-
-    def test_requires_prime(self):
-        with pytest.raises(DomainError):
-            padic_valuation(4, 12)
+        assert arith._remove_prime(12, 2)[1] == 2
+        assert arith._remove_prime(12, 5)[1] == 0
+        assert arith._remove_prime(6561, 3)[1] == 8
 
     @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 10**9))
     def test_exact_exponent(self, p, n):
-        v = padic_valuation(p, n)
+        v = arith._remove_prime(n, p)[1]
         assert n % p**v == 0
         assert n % p ** (v + 1) != 0
 
@@ -422,7 +418,7 @@ class TestPadicValuation:
         # one division per unit of the exponent took 0.4-0.7 s on each; by
         # repeated squaring all three take about 15 ms
         start = time.perf_counter()
-        assert padic_valuation(3, 3**40000 * 7) == 40000
+        assert arith._remove_prime(3**40000 * 7, 3) == (7, 40000)
         assert factorize(3**40000) == ((3, 40000),)
         assert factorize(2**65536 * 5**3) == ((2, 65536), (5, 3))
         assert time.perf_counter() - start < 0.5
@@ -512,9 +508,28 @@ class TestLambdaDecompose:
         assert lambda_decompose(9, 27, 3, 2) == 3
         assert 9**3 == 27**2 == 729
 
+    def test_one_root(self, monkeypatch):
+        # lam = x^(1/b) is taken once and then raised to a; checking x^a = y^b
+        # first took the same root a second time
+        roots = []
+        real = arith.integer_kth_root
+
+        def counting(n, k):
+            roots.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(arith, "integer_kth_root", counting)
+        assert lambda_decompose(16, 8, 3, 4) == 2
+        assert [k for _, k in roots if k > 1] == [4]
+
     def test_precondition_violation(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^4\^2 != 9\^3$"):
             lambda_decompose(4, 9, 2, 3)
+        # no root (5 is no square), and a root 2 whose cube misses y by value
+        # (9) or by size (1, 2^64)
+        for x, y, a, b in ((5, 8, 3, 2), (4, 9, 3, 2), (4, 1, 3, 2), (4, 2**64, 3, 2)):
+            with pytest.raises(PreconditionError):
+                lambda_decompose(x, y, a, b)
 
     def test_coprimality_required(self):
         with pytest.raises(DomainError):

@@ -116,13 +116,26 @@ class TestBisect:
             assert lo.denominator.bit_length() <= k + 2  # dyadic midpoints
 
     def test_iteration_cap(self):
-        # the bracket [1, 2] needs 10001 halvings to reach 2^-10001
+        # the bracket [1, 2] needs 10001 halvings to reach 2^-10001, and the
+        # root of x^x = 2 lies in (1, 2), so each of them is a probe
         with pytest.raises(ResourceError) as exc:
             classify_preimage(Fraction(2), Fraction(1, 2**10001))
         assert str(exc.value) == (
-            "bisection to width 1/<10002-bit integer> needs 10001 halvings, "
-            "past the cap of 10000 halvings"
+            "bisection to width 1/<10002-bit integer> needs 10001 probes, "
+            "past the cap of 10000 probes"
         )
+
+    def test_cap_counts_probes_not_halvings(self):
+        # [1, 2^12000 + 1] takes 12001 halvings to width 1/2, but the scan
+        # leaves the root in (n - 1, n), a cell of width 1/2 after one probe
+        q = Fraction(2**12000 + 1)
+        cert = classify_preimage(q, Fraction(1, 2))
+        lo, hi = cert.interval
+        assert hi - lo <= Fraction(1, 2)
+        mp.mp.dps = 50
+        root = mp.findroot(lambda x: x * mp.ln(x) - 12000 * mp.ln(2), 1000)
+        assert mp.mpf(lo.numerator) / lo.denominator < root
+        assert root < mp.mpf(hi.numerator) / hi.denominator
 
     def test_cap_refused_before_any_halving(self, monkeypatch):
         compared = []

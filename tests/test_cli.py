@@ -439,6 +439,19 @@ class TestExitCodes:
         )
         assert json.loads(err)["kind"] == "parse"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["minpoly", "--", "-" + "9" * 3000 + "/7"], 3),
+            (["powcheck", "--poly", "x", "--x=-" + "9" * 3000 + "/7"], 2),
+        ],
+    )
+    def test_refused_rationals_are_written_by_bit_length(self, capsys, argv, code):
+        # every digit of the rejected rational made a 3,063-byte error line
+        _, err = run_cli(capsys, argv, expect_exit=code)
+        assert len(err.encode()) < 200
+        assert "-<9963-bit integer>" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("b_max", ["1", "0", "-5"])
     def test_powsearch_b_max_below_2_is_3(self, capsys, b_max):
         _, err = run_cli(

@@ -26,7 +26,7 @@ _F7 = 2**128 + 1
 with _all_digits():
     _LARGEST = str(2**65536 - 1)  # 19729 digits, the largest literal
     _PAST = str(2**65536)  # 19729 digits, one past the bit cap
-    _PAST_HALVINGS = f"1/{2**10001}"  # a width one halving past the cap
+    _PAST_PROBES = f"1/{2**10001}"  # at q = 2, a width one probe past the cap
 _TOO_LONG = "1" * 19730  # refused before it is converted
 
 _WIDTHS = ["1/1000000000", "1/1" + "0" * 40, "1/1" + "0" * 150, "1/1024", f"1/{2**77}"]
@@ -106,9 +106,12 @@ def _classify() -> list[list[str]]:
         ["classify", "--q=-7/3"],
         ["classify", "--q", "2", "--width", "0"],
         ["classify", "--q", "2", "--width=-1/8"],
-        ["classify", "--q", "2", "--width", _PAST_HALVINGS],
+        ["classify", "--q", "2", "--width", _PAST_PROBES],
         ["classify", "--q", "2", "--width", "2"],
         ["classify", "--q", "3/2", "--width", "7/3"],
+        # past 2^10000: more halvings of [1, q] than the cap, few probes
+        ["classify", "--q", f"1{'0' * 3699}1", "--width", "1/1000", "--json"],
+        ["classify", "--q", f"1{'0' * 18999}1", "--width", "1/1000", "--json"],
     ]
     return argvs
 
@@ -144,7 +147,7 @@ def _others() -> list[list[str]]:
 
 def _caps() -> list[list[str]]:
     # literals at the literal cap, one past it, and over-long; the bit,
-    # degree, coefficient, sweep and halving caps
+    # degree, coefficient, sweep and probe caps
     return [
         ["solve", "--alpha", f"{_LARGEST}*x - 1", "--json"],
         ["solve", "--alpha", f"{_PAST}*x - 1", "--json"],
@@ -196,7 +199,7 @@ def _shown(argv: list[str]) -> str:
 #: repins it here and names the cases that moved in CHANGES.md
 PINNED = {
     "bound": "8dcc8fe01f65c94e1c31284859798e46a7cc0ec48992e47825b19a8ee1985917",
-    "classify": "82703eb16372b750ee8d6e3f3ba6041b37cdcc02a5f8a9992f4be2b95fe7ad42",
+    "classify": "4d8b327e0aca93b30c6d060b526479b1af919ef1e3d60e2a4b5ff46333adfd5f",
     "decompose": "d45cbc82d3240b4a53397a3348c131613ed6ddd58f348ef8eef5651c6402aaff",
     "minpoly": "182a8802761a05f661678bf5608ec089b6b6a75751c4e7e94aab70095b432487",
     "pairs": "05f97ebe615f515fc56b586c3024d3867cba9bcb1632575abffd08116195db03",

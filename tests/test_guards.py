@@ -6,14 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-import selfpower.arith as arith
 import selfpower.certify as certify
 import selfpower.solver as solver
 from selfpower import (
     AlgebraicTarget,
     Ordering,
     classify_preimage,
-    lambda_decompose,
     minimal_polynomial_of_self_power,
     solve_enumerative,
 )
@@ -69,21 +67,17 @@ def test_bisection_equality_raises(monkeypatch):
         classify_preimage(Fraction(2), Fraction(1, 100))
 
 
-def test_lambda_decompose_postcondition_raises(monkeypatch):
-    # 2^2 != 3^3, but a lying equality test lets it through to the root step
-    monkeypatch.setattr(arith, "powers_equal", lambda *args: True)
-    with pytest.raises(AssertionError, match="is not an integer"):
-        lambda_decompose(2, 3, 2, 3)
-
-
 def test_guards_survive_optimized_mode():
+    # the integer scan's proven-bound check, with the lying comparator of
+    # test_integer_scan_bound_raises
     code = (
-        "import selfpower.arith as a\n"
-        "a.powers_equal = lambda *args: True\n"
+        "import selfpower.solver as s\n"
+        "s.compare_self_power_to_root = lambda x, d, r, t: "
+        "s.Ordering.LESS if x < 10 else s.Ordering.GREATER\n"
         "try:\n"
-        "    a.lambda_decompose(2, 3, 2, 3)\n"
-        "except AssertionError:\n"
-        "    print('raised')\n"
+        "    s.integer_scan(s.AlgebraicTarget.from_rational(2))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised' if 'proven bound' in str(exc) else exc)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True

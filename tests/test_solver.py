@@ -399,6 +399,39 @@ class TestFamilies:
         assert verify_commuting(Fraction(9, 4), Fraction(27, 8))
         assert not verify_commuting(Fraction(2), Fraction(3))
 
+    def test_verifiers_match_the_exponent_products(self):
+        # the exponents come reduced from the parts; the products a*d and c*b
+        # that both sides are raised to give the same answers
+        rng = random.Random(11)
+        for _ in range(2000):
+            x = Fraction(rng.randint(1, 300), rng.randint(1, 300))
+            y = Fraction(rng.randint(1, 300), rng.randint(1, 300))
+            if rng.random() < 0.3:
+                x, y = equal_self_power_pair(rng.randint(1, 6))
+            a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+            p, q = a * d, c * b
+            assert verify_equal_self_powers(x, y) == (
+                powers_equal(a, p, c, q) and powers_equal(b, p, d, q)
+            )
+            assert verify_commuting(1 / x, 1 / y) == (
+                powers_equal(b, d * a, d, b * c) and powers_equal(a, d * a, c, b * c)
+            )
+
+    def test_verifiers_hand_over_short_exponents(self, monkeypatch):
+        # at m = 60000 the products a*d and c*b have about 1.9M bits; reduced
+        # from the parts the exponents are m and m + 1
+        exponents = []
+
+        def recording(x, p, y, q):
+            exponents.extend((p, q))
+            return True
+
+        monkeypatch.setattr(solver_module, "powers_equal", recording)
+        assert verify_equal_self_powers(*equal_self_power_pair(60000))
+        assert verify_commuting(*commuting_pair(60000))
+        assert len(exponents) == 8
+        assert max(e.bit_length() for e in exponents) <= 16
+
     def test_reciprocity_between_families(self):
         for m in range(1, 6):
             x, y = equal_self_power_pair(m)
