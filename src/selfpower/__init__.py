@@ -39,7 +39,6 @@ _HOME = {
     "BinomialMinPoly": "minpoly",
     "IntPolynomial": "minpoly",
     "as_binomial": "minpoly",
-    "degree_of_self_power": "minpoly",
     "is_irreducible_binomial": "minpoly",
     "minimal_polynomial_of_self_power": "minpoly",
     "RationalityVerdict": "polypower",

@@ -67,8 +67,6 @@ def _bisect(q: Fraction, width: Fraction, n: int) -> tuple[Fraction, Fraction]:
 
     Each probe is one exact comparison whose log2 enclosures start at the
     precision the bracket left needs; no state passes between probes."""
-    if width <= 0:
-        raise DomainError("width must be positive")
     top = max(2, -(-q.numerator // q.denominator))
     span = top - 1
     # k halvings leave cells of width span / 2^k, so the fewest that reach
@@ -136,8 +134,12 @@ def _statement(q: Fraction, scanned: int, lo: Fraction, hi: Fraction) -> str:
 def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     """The integer n with n^n = q when one exists; otherwise a transcendence
     certificate for the unique real x > 1 with x^x = q, whose interval is an
-    exact isolating bracket of width at most width.  Requires q > 1; a width
-    whose cell search needs more than _MAX_PROBES probes is refused."""
+    exact isolating bracket of width at most width.  Requires width > 0 and
+    q > 1; a width whose cell search needs more than _MAX_PROBES probes is
+    refused."""
+    width = Fraction(width)
+    if width <= 0:
+        raise DomainError("width must be positive")
     q = Fraction(q)
     if q <= 1:
         raise UnsupportedInputError(
@@ -146,7 +148,7 @@ def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
     found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
     if found is not None:
         return found
-    lo, hi = _bisect(q, Fraction(width), scanned)
+    lo, hi = _bisect(q, width, scanned)
     # the scan stopped at the first n with n^n > q
     trace = [(n, Ordering.LESS) for n in range(1, scanned)]
     trace.append((scanned, Ordering.GREATER))

@@ -66,28 +66,6 @@ class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
             )
         return super().__new__(cls, s, d, r)
 
-    def as_polynomial(self) -> IntPolynomial:
-        coeffs = [0] * (self.d + 1)
-        coeffs[0] = -self.r
-        coeffs[self.d] = self.s
-        return IntPolynomial(tuple(coeffs))
-
-
-def _exponent_gcd(a: int, b: int) -> int:
-    """g = gcd(b, k_a, k_b) for coprime a, b >= 1, where k_n is the largest k
-    with n a perfect k-th power; the input 1 contributes nothing."""
-    if a < 1 or b < 1:
-        raise DomainError("need a, b >= 1")
-    if gcd(a, b) != 1:
-        raise DomainError(
-            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
-        )
-    g = b
-    for n in (a, b):
-        if n > 1 and g > 1:
-            g = gcd(g, _as_perfect_power(n, 1)[1])
-    return g
-
 
 def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     """Minimal polynomial of (a/b)^(a/b) over the integers, for coprime a, b >= 1.
@@ -97,7 +75,16 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     s = (b^(1/g))^a, d = b/g, r = (a^(1/g))^a.  g divides k_a and k_b, so
     both roots are integers; no prime factorization is needed.
     """
-    g = _exponent_gcd(a, b)
+    if a < 1 or b < 1:
+        raise DomainError("need a, b >= 1")
+    if gcd(a, b) != 1:
+        raise DomainError(
+            f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
+        )
+    g = b
+    for n in (a, b):  # the input 1 contributes nothing
+        if n > 1 and g > 1:
+            g = gcd(g, _as_perfect_power(n, 1)[1])
     bits = (a // g + 1) * (b.bit_length() + a.bit_length())
     check_bit_cap(bits, "minimal polynomial of ({0}/{1})^({0}/{1}) needs", a, b)
     s = integer_kth_root(b, g) ** a
@@ -106,11 +93,6 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     # already; _make skips the constructor's check, whose gcd of the two
     # powers costs more than computing them
     return BinomialMinPoly._make((s, b // g, r))
-
-
-def degree_of_self_power(a: int, b: int) -> int:
-    """Degree of (a/b)^(a/b) as an algebraic number: b/g."""
-    return b // _exponent_gcd(a, b)
 
 
 def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:

@@ -62,12 +62,12 @@ def rational_power(base: Fraction, exponent: Fraction) -> Fraction | None:
 
     base = u/v must be positive and reduced; for exponent p/q in lowest terms
     the value is rational iff u and v are both perfect q-th powers.  Negative
-    p reciprocates; exponent 0 gives 1.
+    p reciprocates; exponent 0 and base 1 give 1.
     """
     if base <= 0:
         raise DomainError(f"base must be positive, got {number_text(base)}")
     p, q = exponent.numerator, exponent.denominator
-    if p == 0:
+    if p == 0 or base == 1:
         return Fraction(1)
     u, v = base.numerator, base.denominator
     root_u = integer_kth_root(u, q)

@@ -22,7 +22,6 @@ from selfpower import (
     classify_preimage,
     commuting_pair,
     compare_self_power_to_rational,
-    degree_of_self_power,
     enumerate_rational_powers,
     equal_self_power_pair,
     lambda_decompose,
@@ -105,7 +104,7 @@ def test_criterion_4_bound_soundness():
         for a in range(1, 51):
             if gcd(a, b) != 1:
                 continue
-            d = degree_of_self_power(a, b)
+            d = minimal_polynomial_of_self_power(a, b).d
             # b ln 2 <= d ln b is exactly the integer inequality 2^b <= b^d
             assert 2**b <= b**d, (a, b, d)
             if d not in ln_lo_cache:
@@ -113,7 +112,7 @@ def test_criterion_4_bound_soundness():
             # strict b < 4 d ln d via the rigorous lower bound of ln d
             assert (b << prec) < 4 * d * ln_lo_cache[d], (a, b, d)
             checked += 1
-    d = degree_of_self_power(1, 2)
+    d = minimal_polynomial_of_self_power(1, 2).d
     assert 2**2 == 2**d  # equality of the first bound is attained at x = 1/2
     elapsed = time.perf_counter() - start
     _report(4, "denominator bound soundness", elapsed, 60.0, f"{checked} pairs")

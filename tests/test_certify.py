@@ -54,6 +54,12 @@ class TestClassify:
         with pytest.raises(UnsupportedInputError):
             classify_preimage(Fraction(1, 2))
 
+    def test_width_is_checked_first(self):
+        # before q and before the integer scan, which would answer 27 = 3^3
+        for q, width in ((27, Fraction(-1)), (27, 0), (Fraction(1, 2), 0)):
+            with pytest.raises(DomainError, match="^width must be positive$"):
+                classify_preimage(q, width)
+
 
 class TestHugeValuesInTexts:
     # decimal texts of these q pass the interpreter's 4300-digit int-to-str

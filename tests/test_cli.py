@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfpower import BinomialMinPoly, IntPolynomial, ParseError
+import selfpower
+from selfpower import BinomialMinPoly, DomainError, IntPolynomial, ParseError
 from selfpower import cli
 from selfpower.cli import (
     _all_digits,
@@ -404,6 +405,9 @@ class TestGoldenOutputs:
         assert first == second
 
 
+_X = IntPolynomial((0, 1))
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         _, err = run_cli(capsys, ["solve", "--alpha", "1/0"], expect_exit=2)
@@ -443,7 +447,7 @@ class TestExitCodes:
         "argv, code",
         [
             (["minpoly", "--", "-" + "9" * 3000 + "/7"], 3),
-            (["powcheck", "--poly", "x", "--x=-" + "9" * 3000 + "/7"], 2),
+            (["powcheck", "--poly", "x", "--x=-" + "9" * 3000 + "/7"], 3),
         ],
     )
     def test_refused_rationals_are_written_by_bit_length(self, capsys, argv, code):
@@ -451,6 +455,27 @@ class TestExitCodes:
         _, err = run_cli(capsys, argv, expect_exit=code)
         assert len(err.encode()) < 200
         assert "-<9963-bit integer>" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, name, args",
+        [
+            (["powcheck", "--poly", "x", "--x", "0"], "analyze_poly_power", (_X, 0)),
+            (["powsearch", "--poly", "x", "--a-max", "0"], "enumerate_rational_powers", (_X, 0)),
+            (["bound", "--degree", "0"], "denominator_bound", (0,)),
+            (["bound", "--leading", "0"], "leading_denominator_bound", (0,)),
+            (["pairs", "--m", "0"], "equal_self_power_pair", (0,)),
+            (["pairs", "--m", "0", "--commuting"], "commuting_pair", (0,)),
+            (["classify", "--q", "2", "--width", "0"], "classify_preimage", (2, 0)),
+            (["classify", "--q", "2", "--width=-1/8"], "classify_preimage", (2, Fraction(-1, 8))),
+        ],
+        ids=["x", "a-max", "degree", "leading", "m", "m-commuting", "width", "width-neg"],
+    )
+    def test_refusals_are_the_library_functions(self, capsys, argv, name, args):
+        # the function that owns the argument refuses it, once, with its text
+        with pytest.raises(DomainError) as exc:
+            getattr(selfpower, name)(*args)
+        _, err = run_cli(capsys, argv, expect_exit=3)
+        assert json.loads(err) == {"error": str(exc.value), "kind": "domain"}
 
     @pytest.mark.parametrize("b_max", ["1", "0", "-5"])
     def test_powsearch_b_max_below_2_is_3(self, capsys, b_max):
@@ -675,13 +700,70 @@ class TestAdversarialInputs:
                 json.loads(proc.stdout)
 
 
+def test_closed_stdout_exits_quietly():
+    # a reader that stops early, as `| head -c 100` does, chose to: no
+    # traceback, and exit 0, so `set -o pipefail` scripts do not fail on it;
+    # the answer (158 KB) outgrows a pipe buffer, so its write fails
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with _all_digits():
+        fraction = f"7/{2**65536 - 1}"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfpower.cli", "minpoly", fraction, "--json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def _spellings(value: int) -> list[str]:
+    # decimal, and 2^k or 10^k where the value is that power
+    forms = [str(value)]
+    if value & (value - 1) == 0:
+        forms.append(f"2^{value.bit_length() - 1}")
+    if value == 10 ** (len(str(value)) - 1):
+        forms.append(f"10^{len(str(value)) - 1}")
+    return forms
+
+
+def test_readme_states_every_cap():
+    # README restates each cap by hand, in the phrase next to it here; a cap
+    # changed in the code and not in its text fails
+    from selfpower import arith, certify, errors, polypower
+
+    phrases = {
+        "BIT_CAP": (arith.BIT_CAP, "the bit cap is {} "),
+        "_TRIAL_LIMIT": (arith._TRIAL_LIMIT, "trial division up to {} leaves"),
+        "_FACTOR_BUDGET": (arith._FACTOR_BUDGET, "may spend {} iterations"),
+        "_MAX_COFACTOR_BITS": (arith._MAX_COFACTOR_BITS, "a cofactor of more than {} bits"),
+        "_MAX_DEGREE": (cli._MAX_DEGREE, "the degree cap of {})"),
+        "_MAX_COEFFICIENT_BITS": (cli._MAX_COEFFICIENT_BITS, "may have at most {} bits"),
+        "_MAX_LITERAL_DIGITS": (cli._MAX_LITERAL_DIGITS, "One of more than {} digits"),
+        "_MAX_PROBES": (certify._MAX_PROBES, "makes at most {} probes"),
+        "_MAX_SWEEP_POINTS": (polypower._MAX_SWEEP_POINTS, "sweep covers at most {} "),
+        "DECIMAL_TEXT_BITS": (errors.DECIMAL_TEXT_BITS, "an integer of more than {} bits"),
+        "_DECIMAL_OUTPUT_BITS": (cli._DECIMAL_OUTPUT_BITS, "Integers past {} bits"),
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Exit codes and errors\n", 1)[1].split("\n#", 1)[0]
+    section = " ".join(section.split())
+    for name, (value, phrase) in phrases.items():
+        stated = [phrase.format(form) for form in _spellings(value)]
+        assert any(text in section for text in stated), (name, stated)
+
+
 def test_binomial_text_is_the_polynomial_text():
     for s in (1, 2, 6561, 10**700):
         for d in (1, 2, 9, 40):
             for r in (1, 3, 256):
                 if math.gcd(r, s) == 1:
                     binomial = BinomialMinPoly(s, d, r)
-                    expected = format_polynomial(binomial.as_polynomial())
+                    dense = IntPolynomial((-r, *[0] * (d - 1), s))
+                    expected = format_polynomial(dense)
                     assert _format_binomial(binomial) == expected
 
 

@@ -18,7 +18,6 @@ from selfpower import (
     ResourceError,
     as_binomial,
     compare_self_power_to_root,
-    degree_of_self_power,
     factorize,
     is_irreducible_binomial,
     minimal_polynomial_of_self_power,
@@ -141,8 +140,7 @@ class TestMinimalPolynomial:
                 if gcd(a, b) != 1:
                     continue
                 binomial = minimal_polynomial_of_self_power(a, b)
-                d = degree_of_self_power(a, b)
-                assert d == binomial.d
+                d = binomial.d
                 assert b % d == 0
                 g = b // d
                 for _, e in factorize(a) + factorize(b):
@@ -163,9 +161,9 @@ class TestMinimalPolynomial:
                 assert repr(binomial) == repr(checked)
 
     def test_degree_examples(self):
-        assert degree_of_self_power(1, 2) == 2
-        assert degree_of_self_power(5, 1) == 1
-        assert degree_of_self_power(8, 27) == 9
+        assert minimal_polynomial_of_self_power(1, 2).d == 2
+        assert minimal_polynomial_of_self_power(5, 1).d == 1
+        assert minimal_polynomial_of_self_power(8, 27).d == 9
 
 
 class TestAgainstFactorization:
@@ -182,14 +180,12 @@ class TestAgainstFactorization:
         for a, b in _coprime_grid():
             expected = _outcome(reference_minimal_polynomial, a, b)
             assert _outcome(minimal_polynomial_of_self_power, a, b) == expected, (a, b)
-            assert degree_of_self_power(a, b) == b // reference_exponent_gcd(a, b)
 
     def test_matches_reference_on_seeded_powers(self, small_bit_cap):
         refused = 0
         for a, b in _seeded_power_pairs():
             expected = _outcome(reference_minimal_polynomial, a, b)
             assert _outcome(minimal_polynomial_of_self_power, a, b) == expected, (a, b)
-            assert degree_of_self_power(a, b) == b // reference_exponent_gcd(a, b)
             refused += isinstance(expected, str)
         # both outcomes occur often
         assert 300 < refused < 2700
@@ -218,7 +214,6 @@ class TestAgainstFactorization:
                 minimal_polynomial_of_self_power(a, b)
             except ResourceError as exc:
                 assert "past the bit cap" in str(exc), (a, b)
-            degree_of_self_power(a, b)
         assert minimal_polynomial_of_self_power(1, f7) == BinomialMinPoly(f7, f7, 1)
 
 
@@ -231,12 +226,12 @@ class TestDenominatorBoundsSoundness:
             for a in range(1, 21):
                 if gcd(a, b) != 1:
                     continue
-                d = degree_of_self_power(a, b)
+                d = minimal_polynomial_of_self_power(a, b).d
                 assert 2**b <= b**d, (a, b, d)
                 assert b < 4 * d * mp.ln(d), (a, b, d)
 
     def test_equality_attained_at_one_half(self):
-        d = degree_of_self_power(1, 2)
+        d = minimal_polynomial_of_self_power(1, 2).d
         assert d == 2
         assert 2**2 == 2**d  # b ln 2 = d ln b exactly at (a, b) = (1, 2)
 
@@ -263,7 +258,8 @@ class TestAsBinomial:
 
     def test_round_trip_with_minpoly(self):
         binomial = minimal_polynomial_of_self_power(3, 4)
-        assert as_binomial(binomial.as_polynomial()) == binomial
+        dense = IntPolynomial((-binomial.r, *[0] * (binomial.d - 1), binomial.s))
+        assert as_binomial(dense) == binomial
 
 
 class TestIrreducibility:
@@ -298,6 +294,3 @@ class TestBinomialValidation:
     def test_positivity(self):
         with pytest.raises(DomainError):
             BinomialMinPoly(s=0, d=1, r=1)
-
-    def test_as_polynomial(self):
-        assert BinomialMinPoly(9, 3, 4).as_polynomial() == IntPolynomial((-4, 0, 0, 9))

@@ -110,6 +110,11 @@ class TestRationalPower:
         assert rational_power(Fraction(8, 27), Fraction(-2, 3)) == Fraction(9, 4)
         assert rational_power(Fraction(5, 3), Fraction(0)) == 1
 
+    def test_base_one_is_one_at_any_exponent(self):
+        # 1^p = 1 whatever the size of p, so no bit-cap estimate applies
+        assert rational_power(Fraction(1), Fraction(2000001)) == 1
+        assert rational_power(Fraction(1), Fraction(-(2**40), 3)) == 1
+
     def test_rejects_nonpositive_base(self):
         with pytest.raises(DomainError):
             rational_power(Fraction(-4, 9), Fraction(1, 2))
