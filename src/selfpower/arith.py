@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 import threading
+from array import array
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, PreconditionError, ResourceError, number_text
@@ -113,24 +114,37 @@ def is_prime(n: int) -> bool:
 _TRIAL_LIMIT = 10**6
 #: each segment of the trial-division sieve ends this many times further out
 _SIEVE_GROWTH = 16
+#: a segment is sieved this many numbers at a time
+_SIEVE_WINDOW = 1 << 16
 
 
-def _sieve_segment(lo: int, hi: int, primes: Iterable[int]) -> list[int]:
-    """The primes in [lo, hi), 2 <= lo; primes holds every prime p with p*p < hi."""
-    candidates = bytearray([1]) * (hi - lo)
-    for p in primes:
-        if p * p >= hi:
-            break
-        start = max(p * p, -(-lo // p) * p) - lo
-        candidates[start::p] = bytes(len(range(start, hi - lo, p)))
-    return list(compress(range(lo, hi), candidates))
+def _sieve_segment(lo: int, hi: int, primes: Iterable[int]) -> array:
+    """The primes in [lo, hi), 2 <= lo, as an array("I"); primes holds every
+    prime p with p*p < hi.
+
+    The range is marked in windows of at most _SIEVE_WINDOW numbers, so the
+    scratch a segment needs stays under 100 KB however long it is.
+    """
+    found = array("I")
+    for start in range(lo, hi, _SIEVE_WINDOW):
+        end = min(start + _SIEVE_WINDOW, hi)
+        candidates = bytearray([1]) * (end - start)
+        for p in primes:
+            if p * p >= end:
+                break
+            first = max(p * p, -(-start // p) * p) - start
+            candidates[first::p] = bytes(len(range(first, end - start, p)))
+        found.extend(compress(range(start, end), candidates))
+    return found
 
 
 # Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the primes
 # below _sieve_end, extended in place one segment at a time, and only as far
 # as a factorization walks, so commands on small inputs never sieve to 1e6.
-# Segments are appended whole under the lock; readers iterate the list
-# without it, since it only ever grows by complete segments of larger primes.
+# They are held 4 bytes each in an array("I"): the 78,498 primes up to 1e6
+# take about 0.3 MB, a tenth of a list of ints.  Segments are appended
+# whole under the lock; readers index and slice the array without it, since
+# it only ever grows by complete segments of larger primes.
 _trial_primes = _sieve_segment(2, 1 << 10, _SMALL_PRIMES)
 _sieve_end = 1 << 10
 _sieve_lock = threading.Lock()
@@ -163,7 +177,7 @@ def _remove_prime(n: int, p: int) -> tuple[int, int]:
 _CHUNK = 256
 
 
-# Chunk i is _trial_primes[i * _CHUNK : (i + 1) * _CHUNK].  The list only
+# Chunk i is _trial_primes[i * _CHUNK : (i + 1) * _CHUNK].  The array only
 # grows by whole segments of larger primes (and tests reset it to a prefix of
 # the same primes), so a complete chunk never changes and its product can be
 # cached by index: at most 305 products of about 5000 bits each.
@@ -190,7 +204,9 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
             if i and hi - lo == _CHUNK and gcd(n, _chunk_product(i)) == 1:
                 lo = hi
                 continue
-            for p in islice(_trial_primes, lo, hi):
+            # a slice copies at most one chunk; islice would first step
+            # through (and box) the lo primes before it
+            for p in _trial_primes[lo:hi]:
                 if p * p > n:
                     return n
                 if n % p == 0:

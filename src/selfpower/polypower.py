@@ -76,7 +76,12 @@ def rational_power(base: Fraction, exponent: Fraction) -> Fraction | None:
     root_v = integer_kth_root(v, q)
     if root_v is None:
         return None
-    bits = abs(p) * max(root_u.bit_length(), root_v.bit_length())
+    # the larger of root_u^|p| and root_v^|p| has floor(|p| log2 root) + 1
+    # bits; the enclosure's upper end errs by at most 2 units of 2^-prec, so
+    # the estimate is exact or one bit over while |p| < 2^62
+    prec = min(abs(p).bit_length(), 62) + 2
+    log2_hi = log2_interval(max(root_u, root_v), prec)[1]
+    bits = (abs(p) * log2_hi >> prec) + 1
     check_bit_cap(bits, "{}**{} needs", base, exponent)
     return Fraction(root_u, root_v) ** p
 

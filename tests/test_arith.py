@@ -6,6 +6,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm, prod
@@ -255,10 +258,10 @@ _NEAR_1E12 = (999_999_999_989, 1_000_000_000_039)
 def fresh_trial_primes(monkeypatch):
     """Sets the trial primes back to what a new process holds, the primes
     below 1024, now and on each call of the returned function; the test's
-    end restores the grown list."""
+    end restores the grown array."""
 
     def reset():
-        monkeypatch.setattr(arith, "_trial_primes", eager_trial_primes()[:172])
+        monkeypatch.setattr(arith, "_trial_primes", array("I", eager_trial_primes()[:172]))
         monkeypatch.setattr(arith, "_sieve_end", 1 << 10)
 
     reset()
@@ -269,12 +272,43 @@ class TestGrownTrialPrimes:
     def test_first_segment_is_the_primes_below_1024(self):
         primes = eager_trial_primes()
         assert primes[171] == 1021 and primes[172] == 1031
-        assert arith._sieve_segment(2, 1 << 10, arith._SMALL_PRIMES) == primes[:172]
+        assert arith._sieve_segment(2, 1 << 10, arith._SMALL_PRIMES).tolist() == primes[:172]
 
     def test_full_growth_equals_the_eager_sieve(self, fresh_trial_primes):
         arith._sieve_through(10**7)
-        assert arith._trial_primes == eager_trial_primes()
+        assert arith._trial_primes.tolist() == eager_trial_primes()
         assert arith._sieve_end == 10**6 + 1
+
+    def test_full_growth_peaks_below_1_mb(self, fresh_trial_primes):
+        # the 78,498 primes take 4 bytes each (0.31 MB), and each 2^16-number
+        # window of a segment under 100 KB; as Python ints in a list they
+        # alone would take 3.3 MB
+        tracemalloc.start()
+        try:
+            arith._sieve_through(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(arith._trial_primes) == 78498
+        assert peak < 10**6, peak
+
+    def test_segments_across_window_edges_match_the_eager_sieve(self):
+        # ranges of two to four windows, shifted so that a prime or a prime
+        # square lies on, just before or just after a window edge lo + k*2^16
+        window = arith._SIEVE_WINDOW
+        primes = eager_trial_primes()
+        edge_numbers = (257**2, 131071, 262139, 262147, 509**2, 997**2, 999983)
+        for q in edge_numbers:
+            assert q in primes or isqrt(q) ** 2 == q
+            for k in (1, 2, 3):
+                for shift in (-1, 0, 1):
+                    lo = q + shift - k * window
+                    if lo < 2:
+                        continue
+                    hi = min(lo + (k + 1) * window - 5, 10**6 + 1)
+                    expected = primes[bisect_left(primes, lo) : bisect_left(primes, hi)]
+                    got = arith._sieve_segment(lo, hi, primes)
+                    assert got.tolist() == expected, (lo, hi)
 
     def test_boundary_products_match_reference(self, fresh_trial_primes):
         inputs = [p * q for i, p in enumerate(_BOUNDARY_PRIMES) for q in _BOUNDARY_PRIMES[i:]]
@@ -285,12 +319,12 @@ class TestGrownTrialPrimes:
         for n in inputs:
             fresh_trial_primes()
             assert factorize(n) == reference_factorize(n), n
-            # and again on the list this factorization grew
+            # and again on the array this factorization grew
             assert factorize(n) == reference_factorize(n), n
-        assert arith._trial_primes == eager_trial_primes()[: len(arith._trial_primes)]
+        assert arith._trial_primes.tolist() == eager_trial_primes()[: len(arith._trial_primes)]
 
     def test_chunk_edge_products_match_reference(self, fresh_trial_primes):
-        # chunks are 256 trial primes each, and the list grows to 172, 1900,
+        # chunks are 256 trial primes each, and the array grows to 172, 1900,
         # 23000 and 78498 primes: the edges are those of the first gcd chunks,
         # of the last complete chunk and of the partial chunk each length leaves
         primes = eager_trial_primes()
@@ -309,7 +343,7 @@ class TestGrownTrialPrimes:
         for n in inputs:
             fresh_trial_primes()
             assert factorize(n) == reference_factorize(n), n
-            # and again on the list this factorization grew
+            # and again on the array this factorization grew
             assert factorize(n) == reference_factorize(n), n
 
     def test_chunk_products_are_the_products_of_their_slices(self, fresh_trial_primes):
@@ -347,7 +381,7 @@ class TestGrownTrialPrimes:
         assert int(proc.stdout) == 172
 
     def test_concurrent_growth_matches_reference(self, fresh_trial_primes):
-        # more threads than cores exhaust the list at the same time and grow
+        # more threads than cores exhaust the array at the same time and grow
         # it to 1e6; a segment sieved twice or skipped breaks the equalities
         numbers = (
             999_983 * 1_000_003 * 6,
@@ -375,7 +409,7 @@ class TestGrownTrialPrimes:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 assert results == expected
-                assert arith._trial_primes == eager_trial_primes()
+                assert arith._trial_primes.tolist() == eager_trial_primes()
         finally:
             sys.setswitchinterval(interval)
 

@@ -124,6 +124,8 @@ def _others() -> list[list[str]]:
         ["powcheck", "--poly", "x", "--x", "0"],
         # 1^P(1) is 1 whatever the size of P(1)
         ["powcheck", "--poly", "x + 2000000", "--x", "1", "--json"],
+        # 2^600000 has 600,001 bits, inside the bit cap
+        ["powcheck", "--poly", "x + 599998", "--x", "2", "--json"],
         ["powsearch", "--poly", "2*x", "--a-max", "9", "--json"],
         ["powsearch", "--poly", "x^2 + 1", "--a-max", "12"],
         ["powsearch", "--poly", "3*x - 1", "--a-max", "30", "--json"],
@@ -205,9 +207,9 @@ PINNED = {
     "decompose": "d45cbc82d3240b4a53397a3348c131613ed6ddd58f348ef8eef5651c6402aaff",
     "minpoly": "182a8802761a05f661678bf5608ec089b6b6a75751c4e7e94aab70095b432487",
     "pairs": "1ed75edd663648ff28d356c1ddb3f636b0d659b5f694bbe5d9669bb86a018107",
-    "powcheck": "e3150323b0d426fba8c798fe2c640d0b390c2e8a7cb4a4a085ce08a38a105a97",
+    "powcheck": "18229c219fb776af6c6497ee9cfb947e1ffc6ce8eaf9cabf7e375c2504ba2576",
     "powsearch": "013188556d8d24050c682e24d8b22bcac064c63d53435922ce90ee33b78edb13",
-    "solve": "e121d149ed91fec0d5edd0c96e230dd61c092b12103826b29f8d86d8415e8753",
+    "solve": "c56b59f99d5b9487cc5dc9fd9e0fd40dc53c710966836bfa2f59a49af0969383",
 }
 
 

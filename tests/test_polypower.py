@@ -123,8 +123,29 @@ class TestRationalPower:
         with pytest.raises(ResourceError) as exc:
             rational_power(Fraction(2), Fraction(2**21))
         assert str(exc.value) == (
-            "2**2097152 needs about 4194304 bits, past the bit cap of 1048576 bits"
+            "2**2097152 needs about 2097153 bits, past the bit cap of 1048576 bits"
         )
+
+    def test_powers_of_two_up_to_the_cap_are_answered(self):
+        # 2^p has p + 1 bits, so p = 2^20 - 1 is the last exponent inside
+        assert rational_power(Fraction(2), Fraction(600000)) == 2**600000
+        assert rational_power(Fraction(1, 2), Fraction(2**20 - 1)) == Fraction(1, 2 ** (2**20 - 1))
+        with pytest.raises(ResourceError, match="about 1048577 bits"):
+            rational_power(Fraction(2), Fraction(2**20))
+
+    def test_bit_cap_estimate_is_within_a_bit(self):
+        # values past the cap, where |p| times the root's bit length is about
+        # 1.5 times it: the estimate in the text is the bit length of the
+        # larger of numerator and denominator, or one more
+        cases = [(3, 1), (1, 3), (5, 7), (10, 1), (2**61 - 1, 2), (3**40, 5**30), (7, 2**17)]
+        for u, v in cases:
+            root = max(u, v)
+            p = 3 * arith.BIT_CAP // (2 * root.bit_length()) + 1
+            with pytest.raises(ResourceError) as exc:
+                rational_power(Fraction(u, v), Fraction(p))
+            estimate = int(str(exc.value).split(" about ")[1].split(" bits")[0])
+            true_bits = (root**p).bit_length()
+            assert true_bits <= estimate <= true_bits + 1, (u, v, estimate, true_bits)
 
     @given(
         st.integers(1, 30),
