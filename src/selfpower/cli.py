@@ -47,8 +47,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' with an optional leading minus into a reduced fraction."""
     cleaned = _normalize_minus(text).strip()
     if _RATIONAL_RE.fullmatch(cleaned) is None:
-        bad = (i for i, ch in enumerate(cleaned) if not (ch.isdecimal() or ch in "+-/"))
-        raise ParseError(f"not a rational: {text!r}", position=next(bad, len(cleaned)))
+        # the error stands at the end of the longest prefix of some rational
+        end = re.match(r"[+-]?\d*(?:/\d*)?", cleaned).end()
+        raise ParseError(f"not a rational: {text!r}", position=end)
     num, slash, den = cleaned.partition("/")
     numerator = _int_literal(num, 0)
     if not slash:
@@ -181,13 +182,14 @@ def _check_monomial(what: str, c: int, n: int, position: int) -> None:
         )
 
 
-def _parse_expression(text: str) -> list[int]:
-    """Dense coefficients of poly := ['+'|'-'] term (('+'|'-') term)*, where
-    term := factor ('*' factor)* and factor := (INT | 'x') ['^' INT].
+def _parse_expression(text: str) -> dict[int, int]:
+    """Coefficients by degree of poly := ['+'|'-'] term (('+'|'-') term)*,
+    where term := factor ('*' factor)* and factor := (INT | 'x') ['^' INT].
 
     Every factor and term is a monomial c*x^n, carried as (c, n); like terms
-    are collected by degree.  A character or literal the tokens cannot hold
-    is refused before any grammar error, wherever it stands.
+    are collected by degree, and those that cancel stay as zeros.  A character
+    or literal the tokens cannot hold is refused before any grammar error,
+    wherever it stands.
     """
     tokens = []  # (position, int value or operator), then (len(text), "")
     for m in _TOKEN_RE.finditer(text):
@@ -253,10 +255,7 @@ def _parse_expression(text: str) -> list[int]:
         joint, sign, i = pos, (-1 if op == "-" else 1), i + 1
     if op != "":
         raise ParseError("unexpected trailing input", position=pos)
-    coeffs = [0] * (max(terms) + 1)
-    for n, c in terms.items():
-        coeffs[n] = c
-    return coeffs
+    return terms
 
 
 def _parse_coefficient_list(text: str) -> list[int]:
@@ -280,27 +279,30 @@ def _parse_coefficient_list(text: str) -> list[int]:
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse '9*x^3 - 4' or the coefficient list '[-4, 0, 0, 9]' (constant first).
 
-    Both forms produce identical polynomials; like terms are collected.
+    Both forms produce identical polynomials, held as their nonzero terms;
+    like terms are collected.
     """
     cleaned = _normalize_minus(text).strip()
     if not cleaned:
         raise ParseError("empty polynomial", position=0)
-    if cleaned.startswith("["):
-        coeffs = _parse_coefficient_list(cleaned)
-    else:
-        coeffs = _parse_expression(cleaned)
-    if all(c == 0 for c in coeffs):
-        raise ParseError("zero polynomial", position=0)
     from .minpoly import IntPolynomial
 
-    return IntPolynomial.from_coefficients(coeffs)
+    if cleaned.startswith("["):
+        coeffs = _parse_coefficient_list(cleaned)
+        if any(coeffs):
+            return IntPolynomial.from_coefficients(coeffs)
+    else:
+        terms = [(n, c) for n, c in _parse_expression(cleaned).items() if c]
+        if terms:
+            return IntPolynomial(tuple(sorted(terms, reverse=True)))
+    raise ParseError("zero polynomial", position=0)
 
 
 @_all_digits()
-def _render_terms(terms) -> str:
-    """Text of the nonzero (degree, coefficient) terms, highest degree first."""
+def format_polynomial(poly: IntPolynomial) -> str:
+    """Canonical rendering like '9*x^3 - 4'; reparsing gives the same polynomial."""
     parts: list[str] = []
-    for k, c in terms:
+    for k, c in poly.terms:
         mag = abs(c)
         if k == 0:
             body = _int_text(mag)
@@ -314,17 +316,12 @@ def _render_terms(terms) -> str:
     return " ".join(parts)
 
 
-def format_polynomial(poly: IntPolynomial) -> str:
-    """Canonical rendering like '9*x^3 - 4'; reparsing gives the same polynomial."""
-    return _render_terms(
-        (k, poly.coeffs[k]) for k in range(poly.degree, -1, -1) if poly.coeffs[k]
-    )
-
-
 def _format_binomial(binomial: BinomialMinPoly) -> str:
-    """format_polynomial of s*x^d - r without forming its d + 1 coefficients,
-    so a degree like 2^128 + 1 renders too."""
-    return _render_terms(((binomial.d, binomial.s), (0, -binomial.r)))
+    """format_polynomial of the two terms of s*x^d - r."""
+    from .minpoly import IntPolynomial
+
+    s, d, r = binomial
+    return format_polynomial(IntPolynomial(((d, s), (0, -r))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ The minimal polynomial over the integers of (a/b)^(a/b), for coprime positive
 a and b, is always a binomial s*x^d - r; this module constructs it in closed
 form from the perfect-power exponents of a and b (the largest k with
 n = root^k, the gcd of n's prime exponents, found without factoring n),
-recognises the binomial shape in a general integer polynomial, and decides
-irreducibility of positive binomials by the classical prime-power criterion,
-which factors only the degree d.
+recognises the binomial shape in a general integer polynomial, held as its
+nonzero terms so that x^65536 - 3 is two of them, and decides irreducibility
+of positive binomials by the classical prime-power criterion, which factors
+only the degree d.
 """
 
 from __future__ import annotations
@@ -18,33 +19,39 @@ from .arith import _as_perfect_power, check_bit_cap, factorize, integer_kth_root
 from .errors import DomainError, number_text
 
 
-class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
-    """Dense integer polynomial; coeffs[k] is the coefficient of x^k."""
+class IntPolynomial(namedtuple("IntPolynomial", "terms")):
+    """Sparse integer polynomial: its nonzero terms (degree, coefficient),
+    degrees strictly decreasing, so terms[0] is the leading term."""
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: tuple[int, ...]):
-        if not coeffs:
+    def __new__(cls, terms: tuple[tuple[int, int], ...]):
+        if not terms:
             raise DomainError("empty polynomial")
-        if coeffs[-1] == 0:
-            raise DomainError("leading coefficient must be nonzero")
-        return super().__new__(cls, coeffs)
+        above = terms[0][0] + 1
+        for k, c in terms:
+            if k >= above:
+                raise DomainError("degrees must strictly decrease")
+            if not c:
+                raise DomainError(f"zero coefficient at degree {number_text(k)}")
+            above = k
+        if above < 0:
+            raise DomainError("degrees must be nonnegative")
+        return super().__new__(cls, terms)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.terms[0][0]
 
     @property
     def leading_coefficient(self) -> int:
-        return self.coeffs[-1]
+        return self.terms[0][1]
 
     @staticmethod
     def from_coefficients(coeffs) -> "IntPolynomial":
-        """Build from an iterable, stripping trailing zero coefficients."""
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return IntPolynomial(tuple(cs))
+        """Build from dense coefficients, coeffs[k] that of x^k, dropping zeros."""
+        terms = [(k, c) for k, c in enumerate(coeffs) if c]
+        return IntPolynomial(tuple(reversed(terms)))
 
 
 class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
@@ -99,21 +106,20 @@ def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:
     """Recognise s*x^d - r in a non-constant integer polynomial.
 
     The sign is normalised so the leading coefficient is positive; the content
-    must be 1 (a non-primitive polynomial is never minimal) and every middle
-    coefficient zero.  Returns None when the shape does not match.
+    must be 1 (a non-primitive polynomial is never minimal) and P must have
+    exactly two terms, the lower at degree 0.  Returns None when the shape
+    does not match.
     """
     if poly.degree < 1:
         raise DomainError("as_binomial requires a non-constant polynomial")
-    coeffs = poly.coeffs
-    # with no middle term the content is that of the two outer ones
-    if any(coeffs[1:-1]) or gcd(coeffs[0], coeffs[-1]) != 1:
+    if len(poly.terms) != 2:
         return None
-    s, r = coeffs[-1], -coeffs[0]
-    if s < 0:
-        s, r = -s, -r
-    if r <= 0:
+    (d, s), (k, c) = poly.terms
+    # with no middle term the content is that of the two outer ones; s*x^d - r
+    # with s, r >= 1 has outer coefficients of opposite signs
+    if k or gcd(s, c) != 1 or (s > 0) == (c > 0):
         return None
-    return BinomialMinPoly(s=s, d=len(coeffs) - 1, r=r)
+    return BinomialMinPoly(s=abs(s), d=d, r=abs(c))
 
 
 def is_irreducible_binomial(binomial: BinomialMinPoly) -> bool:

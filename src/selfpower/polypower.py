@@ -4,7 +4,8 @@ For reduced x = a/b and exponent P(x) = p/q in lowest terms, x^P(x) is
 rational exactly when a and b are both perfect q-th powers; when it is, the
 denominator b is bounded in terms of the leading coefficient A of P alone:
 b = 1 for |A| = 1 and b < 3|A|log2|A| otherwise (b <= |A| in the special case
-P(x) = 0).  The bounded sweep makes the bound observable.
+P(x) = 0).  The bounded sweep makes the bound observable.  P is held as its
+nonzero terms, and evaluation steps from one term to the next.
 """
 
 from __future__ import annotations
@@ -36,21 +37,17 @@ def eval_polynomial(poly: IntPolynomial, x: Fraction) -> Fraction:
     refused with ResourceError before it is computed.
     """
     a, b = x.numerator, x.denominator
-    coeffs = poly.coeffs
     bits = poly.degree * max(a.bit_length(), b.bit_length())
-    check_bit_cap(bits + max(map(int.bit_length, coeffs)), "P({}) needs", x)
+    check_bit_cap(bits + max(c.bit_length() for _, c in poly.terms), "P({}) needs", x)
     # integer Horner on b^deg(P) * P(a/b) = sum of c_k a^k b^(deg(P) - k),
-    # stepping from one nonzero coefficient to the next, so a run of zeros
-    # costs one power of a and one of b: acc is the sum of c_m a^(m - k)
-    # b^(deg(P) - m) over m >= k, and b_power is b^(deg(P) - k)
-    acc, b_power, k = coeffs[-1], 1, poly.degree
-    for i in range(k - 1, -1, -1):
-        c = coeffs[i]
-        if c:
-            step = k - i
-            b_power *= b**step
-            acc = acc * a**step + c * b_power
-            k = i
+    # from one term to the next: acc is the sum of c_m a^(m - k) b^(deg(P) - m)
+    # over the terms m >= k, and b_power is b^(deg(P) - k)
+    (k, acc), b_power = poly.terms[0], 1
+    for i, c in poly.terms[1:]:
+        step = k - i
+        b_power *= b**step
+        acc = acc * a**step + c * b_power
+        k = i
     if k:
         b_power *= b**k
         acc *= a**k

@@ -72,12 +72,11 @@ class AlgebraicTarget(BinomialMinPoly):
     @classmethod
     def from_polynomial(cls, poly: IntPolynomial) -> "AlgebraicTarget":
         # c*P and P share their roots: divide out the content, as the text of
-        # a rational is reduced (zeros change no gcd, and skipping them is
-        # faster on sparse P)
-        content = gcd(*filter(None, poly.coeffs))
+        # a rational is reduced; a constant P has no root at all
+        content = gcd(*(c for _, c in poly.terms))
         if content > 1:
-            poly = IntPolynomial(tuple(c // content for c in poly.coeffs))
-        binomial = as_binomial(poly)
+            poly = IntPolynomial(tuple((k, c // content) for k, c in poly.terms))
+        binomial = as_binomial(poly) if poly.degree else None
         if binomial is None:
             raise TargetShapeError(
                 "alpha must be the positive root of a binomial s*x^d - r with "

@@ -120,14 +120,14 @@ def test_criterion_4_bound_soundness():
 
 def test_criterion_5_polynomial_power_sweep():
     start = time.perf_counter()
-    doubling = IntPolynomial((0, 2))
+    doubling = IntPolynomial.from_coefficients((0, 2))
     bound = leading_denominator_bound(2)
     assert bound == 5
     hits = enumerate_rational_powers(doubling, 100, b_max=15)
     denominators = {x.denominator for x, _ in hits}
     assert denominators == {2, 4}
     assert max(denominators) <= bound
-    monic = IntPolynomial((1, 0, 1))
+    monic = IntPolynomial.from_coefficients((1, 0, 1))
     assert enumerate_rational_powers(monic, 60, b_max=60) == []
     elapsed = time.perf_counter() - start
     _report(5, "polynomial-power denominator sweep", elapsed, 60.0,

@@ -59,6 +59,17 @@ class TestParseRational:
             parse_rational("1²/3")
         assert exc.value.position == 1
 
+    def test_misplaced_sign_or_slash_position(self):
+        # the position ends the longest prefix of [+-]?\d*(?:/\d*)?
+        cases = {
+            "1//2": 2, "1/-2": 2, "--1": 1, "+-3": 1, "1/2/3": 3, "1²/3": 1,
+            "3/": 2, "-": 1, "/": 1, "": 0, "two": 0, "1/2x": 3, " 1/+2 ": 2,
+        }
+        for text, position in cases.items():
+            with pytest.raises(ParseError) as exc:
+                parse_rational(text)
+            assert exc.value.position == position, text
+
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_rational("two thirds")
@@ -70,15 +81,17 @@ class TestParseRational:
 
 class TestParsePolynomial:
     def test_expression_form(self):
-        assert parse_polynomial("9*x^3 - 4").coeffs == (-4, 0, 0, 9)
-        assert parse_polynomial("x^2 + x^2").coeffs == (0, 0, 2)
-        assert parse_polynomial("-x + 1").coeffs == (1, -1)
-        assert parse_polynomial("2*x*x - x").coeffs == (0, -1, 2)
+        assert parse_polynomial("9*x^3 - 4").terms == ((3, 9), (0, -4))
+        assert parse_polynomial("x^2 + x^2").terms == ((2, 2),)
+        assert parse_polynomial("-x + 1").terms == ((1, -1), (0, 1))
+        assert parse_polynomial("2*x*x - x").terms == ((2, 2), (1, -1))
+        # like terms that cancel leave no term behind
+        assert parse_polynomial("x^3 + 2 - x^3 + x").terms == ((1, 1), (0, 2))
 
     def test_bracket_form(self):
-        assert parse_polynomial("[−1, 0, 2]").coeffs == (-1, 0, 2)
-        assert parse_polynomial("[-4, 0, 0, 9]").coeffs == (-4, 0, 0, 9)
-        assert parse_polynomial("[1, 2, 0]").coeffs == (1, 2)  # trailing zeros drop
+        assert parse_polynomial("[−1, 0, 2]").terms == ((2, 2), (0, -1))
+        assert parse_polynomial("[-4, 0, 0, 9]").terms == ((3, 9), (0, -4))
+        assert parse_polynomial("[1, 2, 0]").terms == ((1, 2), (0, 1))  # zeros drop
 
     def test_forms_agree(self):
         assert parse_polynomial("9*x^3 - 4") == parse_polynomial("[-4, 0, 0, 9]")
@@ -131,8 +144,8 @@ class TestParsePolynomial:
                     f"integer literal of {size} exceeds the supported size of "
                     f"65536 bits (19729 digits) (at position {position})"
                 )
-        assert parse_polynomial(f"x - {largest}").coeffs == (1 - 2**65536, 1)
-        assert parse_polynomial(f"[{largest}, -1]").coeffs == (2**65536 - 1, -1)
+        assert parse_polynomial(f"x - {largest}").terms == ((1, 1), (0, 1 - 2**65536))
+        assert parse_polynomial(f"[{largest}, -1]").terms == ((1, -1), (0, 2**65536 - 1))
         assert parse_rational(f"-1/{largest}") == Fraction(-1, 2**65536 - 1)
 
     def test_rendering_past_the_interpreter_digit_limit_parses_back(self):
@@ -165,14 +178,17 @@ class TestParsePolynomial:
         with pytest.raises(ParseError) as exc:
             parse_polynomial("x^2 - 2^65536")
         assert exc.value.position == 8
-        assert parse_polynomial("2^65535*x - 1").coeffs == (-1, 2**65535)
+        assert parse_polynomial("2^65535*x - 1").terms == ((1, 2**65535), (0, -1))
         with pytest.raises(ParseError) as exc:
             parse_polynomial("2^40000*x*2^30000 - 3")
         assert str(exc.value) == (
             "product coefficient of 70001 bits exceeds the supported coefficient "
             "size of 65536 bits (at position 9)"
         )
-        assert parse_polynomial("1000003^3000*x^2 - 2").coeffs == (-2, 0, 1000003**3000)
+        assert parse_polynomial("1000003^3000*x^2 - 2").terms == (
+            (2, 1000003**3000),
+            (0, -2),
+        )
         # like terms: the sum is refused at the sign that joins it
         with pytest.raises(ParseError) as exc:
             parse_polynomial("2^65535*x + 2^65535*x - 1")
@@ -180,15 +196,13 @@ class TestParsePolynomial:
             "sum coefficient of 65537 bits exceeds the supported coefficient "
             "size of 65536 bits (at position 10)"
         )
-        assert parse_polynomial("2^65535*x - 2^65535*x + x").coeffs == (0, 1)
+        assert parse_polynomial("2^65535*x - 2^65535*x + x").terms == ((1, 1),)
 
     def test_large_powers_are_fast(self):
         start = time.perf_counter()
-        assert parse_polynomial("x^9000*x^9000*x^9000 - 3").coeffs == (
-            (-3,) + (0,) * 26999 + (1,)
-        )
-        assert parse_polynomial("x^65536 - 3").degree == 65536
-        assert parse_polynomial("3^4*x^2*2 - 2^3*5").coeffs == (-40, 0, 162)
+        assert parse_polynomial("x^9000*x^9000*x^9000 - 3").terms == ((27000, 1), (0, -3))
+        assert parse_polynomial("x^65536 - 3").terms == ((65536, 1), (0, -3))
+        assert parse_polynomial("3^4*x^2*2 - 2^3*5").terms == ((2, 162), (0, -40))
         assert time.perf_counter() - start < 1.0
 
     @given(
@@ -224,6 +238,26 @@ class TestParsePolynomial:
     def test_print_parse_round_trip(self, coeffs):
         poly = IntPolynomial.from_coefficients(coeffs)
         assert parse_polynomial(format_polynomial(poly)) == poly
+
+    @given(
+        st.dictionaries(
+            st.integers(0, cli._MAX_DEGREE),
+            st.integers(-(2**200), 2**200).filter(bool),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_round_trips(self, by_degree):
+        # a few terms anywhere up to the degree cap: the text holds one term
+        # per nonzero coefficient, the dense list one entry per degree
+        poly = IntPolynomial(tuple(sorted(by_degree.items(), reverse=True)))
+        assert parse_polynomial(format_polynomial(poly)) == poly
+        coeffs = [by_degree.get(k, 0) for k in range(poly.degree + 1)]
+        assert IntPolynomial.from_coefficients(coeffs) == poly
+        assert IntPolynomial.from_coefficients(coeffs + [0, 0]) == poly
+        if poly.degree <= 4096:  # a bracket list costs ~2 us per entry
+            assert parse_polynomial(f"[{', '.join(map(str, coeffs))}]") == poly
 
     def test_fraction_rendering(self):
         assert format_fraction(Fraction(3, 1)) == "3"
@@ -405,7 +439,7 @@ class TestGoldenOutputs:
         assert first == second
 
 
-_X = IntPolynomial((0, 1))
+_X = IntPolynomial.from_coefficients((0, 1))
 
 
 class TestExitCodes:
@@ -436,6 +470,13 @@ class TestExitCodes:
     def test_non_binomial_target_is_3(self, capsys):
         _, err = run_cli(capsys, ["solve", "--alpha", "x^2 + x + 1"], expect_exit=3)
         assert json.loads(err)["kind"] == "domain"
+
+    def test_constant_polynomial_target_is_3_with_the_shape_text(self, capsys):
+        _, shape = run_cli(capsys, ["solve", "--alpha", "x^2 + x + 1"], expect_exit=3)
+        for alpha in ("x^0", "[1, 0]", "0*x + 1", "[5]", "3*x^0"):
+            _, err = run_cli(capsys, ["solve", "--alpha", alpha], expect_exit=3)
+            assert err == shape, alpha
+            assert "as_binomial" not in err
 
     def test_negative_powcheck_base_is_parse_error(self, capsys):
         _, err = run_cli(
@@ -762,9 +803,13 @@ def test_binomial_text_is_the_polynomial_text():
             for r in (1, 3, 256):
                 if math.gcd(r, s) == 1:
                     binomial = BinomialMinPoly(s, d, r)
-                    dense = IntPolynomial((-r, *[0] * (d - 1), s))
+                    dense = IntPolynomial.from_coefficients((-r, *[0] * (d - 1), s))
                     expected = format_polynomial(dense)
                     assert _format_binomial(binomial) == expected
+    # a degree far past the parser's cap renders from the two terms alone
+    assert _format_binomial(BinomialMinPoly(2, 2**128 + 1, 3)) == (
+        f"2*x^{2**128 + 1} - 3"
+    )
 
 
 class TestMinpolyWithoutFactorization:

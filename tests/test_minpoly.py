@@ -24,6 +24,10 @@ from selfpower import (
 )
 
 
+#: IntPolynomial from its coefficients, constant first
+dense = IntPolynomial.from_coefficients
+
+
 def reference_exponent_gcd(a, b):
     """g = gcd(b, every prime exponent of a and of b), from factorizations."""
     if a < 1 or b < 1:
@@ -238,28 +242,29 @@ class TestDenominatorBoundsSoundness:
 
 class TestAsBinomial:
     def test_examples(self):
-        p = IntPolynomial((-1, 0, 2))
+        p = dense((-1, 0, 2))
         assert as_binomial(p) == BinomialMinPoly(s=2, d=2, r=1)
-        assert as_binomial(IntPolynomial((1, 0, 1))) is None  # x^2 + 1
-        assert as_binomial(IntPolynomial((-2, 0, 4))) is None  # content 2
+        assert as_binomial(dense((1, 0, 1))) is None  # x^2 + 1
+        assert as_binomial(dense((-2, 0, 4))) is None  # content 2
 
     def test_sign_normalisation(self):
-        assert as_binomial(IntPolynomial((1, 0, -2))) == BinomialMinPoly(2, 2, 1)
+        assert as_binomial(dense((1, 0, -2))) == BinomialMinPoly(2, 2, 1)
 
     def test_middle_coefficients(self):
-        assert as_binomial(IntPolynomial((-1, 1, 2))) is None
+        assert as_binomial(dense((-1, 1, 2))) is None
 
     def test_zero_constant(self):
-        assert as_binomial(IntPolynomial((0, 2))) is None
+        assert as_binomial(dense((0, 2))) is None
 
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
-            as_binomial(IntPolynomial((5,)))
+            as_binomial(dense((5,)))
 
     def test_round_trip_with_minpoly(self):
         binomial = minimal_polynomial_of_self_power(3, 4)
-        dense = IntPolynomial((-binomial.r, *[0] * (binomial.d - 1), binomial.s))
-        assert as_binomial(dense) == binomial
+        poly = dense((-binomial.r, *[0] * (binomial.d - 1), binomial.s))
+        assert as_binomial(poly) == binomial
+        assert poly.terms == ((binomial.d, binomial.s), (0, -binomial.r))
 
 
 class TestIrreducibility:

@@ -23,18 +23,22 @@ from selfpower import (
     zero_exponent_denominator_bound,
 )
 
-P_2X = IntPolynomial((0, 2))
-P_X = IntPolynomial((0, 1))
-P_X2_PLUS_1 = IntPolynomial((1, 0, 1))
-P_4X2 = IntPolynomial((0, 0, 4))
+P_2X = IntPolynomial.from_coefficients((0, 2))
+P_X = IntPolynomial.from_coefficients((0, 1))
+P_X2_PLUS_1 = IntPolynomial.from_coefficients((1, 0, 1))
+P_4X2 = IntPolynomial.from_coefficients((0, 0, 4))
 
 
 def reference_eval_polynomial(poly, x):
-    """Integer Horner one degree at a step, zero coefficients included: the
-    evaluation eval_polynomial replaced, kept to check it against."""
+    """Integer Horner one degree at a step over P's dense coefficients, zeros
+    included: the evaluation eval_polynomial replaced, kept to check it
+    against."""
+    coeffs = [0] * (poly.degree + 1)
+    for k, c in poly.terms:
+        coeffs[k] = c
     a, b = x.numerator, x.denominator
-    acc, b_power = poly.coeffs[-1], 1
-    for c in reversed(poly.coeffs[:-1]):
+    acc, b_power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
         b_power *= b
         acc = acc * a + c * b_power
     return Fraction(acc, b_power)
@@ -42,12 +46,16 @@ def reference_eval_polynomial(poly, x):
 
 _COEFFICIENTS = st.integers(-(10**30), 10**30)
 _POINTS = st.fractions(max_denominator=10**12).filter(lambda x: abs(x) < 10**12)
-_DENSE = st.lists(_COEFFICIENTS, min_size=1, max_size=40).filter(lambda cs: cs[-1])
+_DENSE = (
+    st.lists(_COEFFICIENTS, min_size=1, max_size=40)
+    .filter(lambda cs: cs[-1])
+    .map(IntPolynomial.from_coefficients)
+)
 # a few nonzero terms at scattered degrees: long runs of zeros, at the
 # constant end too
 _SPARSE = st.dictionaries(
     st.integers(0, 400), _COEFFICIENTS.filter(bool), min_size=1, max_size=5
-).map(lambda terms: [terms.get(k, 0) for k in range(max(terms) + 1)])
+).map(lambda terms: IntPolynomial(tuple(sorted(terms.items(), reverse=True))))
 
 
 class TestEvalPolynomial:
@@ -64,7 +72,7 @@ class TestEvalPolynomial:
     )
     @settings(max_examples=200)
     def test_denominator_divides_power(self, coeffs, x):
-        poly = IntPolynomial(tuple(coeffs))
+        poly = IntPolynomial.from_coefficients(coeffs)
         value = eval_polynomial(poly, Fraction(x))
         b = Fraction(x).denominator
         assert b**poly.degree % value.denominator == 0
@@ -76,13 +84,12 @@ class TestEvalPolynomial:
 
     @given(st.one_of(_DENSE, _SPARSE), _POINTS)
     @settings(max_examples=300)
-    def test_equals_the_one_step_horner_loop(self, coeffs, x):
-        poly = IntPolynomial(tuple(coeffs))
+    def test_equals_the_one_step_horner_loop(self, poly, x):
         assert eval_polynomial(poly, x) == reference_eval_polynomial(poly, x)
 
     def test_value_past_the_bit_cap_is_refused_before_it_is_formed(self):
         # 65536 * 17 + 1 bits, refused before the first multiplication
-        poly = IntPolynomial((1,) + (0,) * 65535 + (1,))
+        poly = IntPolynomial(((65536, 1), (0, 1)))
         with pytest.raises(ResourceError) as exc:
             eval_polynomial(poly, Fraction(99999, 99998))
         assert str(exc.value) == (
@@ -185,12 +192,12 @@ class TestAnalyzePolyPower:
     def test_examples(self):
         assert analyze_poly_power(P_2X, Fraction(1, 4)).rational == Fraction(1, 2)
         assert analyze_poly_power(P_X, Fraction(1, 2)).rational is None
-        verdict = analyze_poly_power(IntPolynomial((0, 0, 1)), Fraction(3))
+        verdict = analyze_poly_power(IntPolynomial.from_coefficients((0, 0, 1)), Fraction(3))
         assert verdict.rational == 19683 and verdict.exponent == 9
 
     def test_zero_exponent_case(self):
         # P(x) = 0 forces the value 1 and den(x) <= |A|
-        poly = IntPolynomial((-1, 2))  # 2x - 1 vanishes at 1/2
+        poly = IntPolynomial.from_coefficients((-1, 2))  # 2x - 1 vanishes at 1/2
         verdict = analyze_poly_power(poly, Fraction(1, 2))
         assert verdict.exponent == 0 and verdict.rational == 1
         assert Fraction(1, 2).denominator <= abs(poly.leading_coefficient)
@@ -215,7 +222,7 @@ class TestAnalyzePolyPower:
         for i, c in enumerate(root_factor):
             for j, d in enumerate(q_coeffs):
                 coeffs[i + j] += c * d
-        poly = IntPolynomial(tuple(coeffs))
+        poly = IntPolynomial.from_coefficients(coeffs)
         verdict = analyze_poly_power(poly, Fraction(a, b))
         assert verdict.exponent == 0
         assert verdict.rational == 1
@@ -223,7 +230,7 @@ class TestAnalyzePolyPower:
 
     def test_requires_nonconstant(self):
         with pytest.raises(DomainError):
-            analyze_poly_power(IntPolynomial((3,)), Fraction(1, 2))
+            analyze_poly_power(IntPolynomial.from_coefficients((3,)), Fraction(1, 2))
 
     def test_requires_positive_x(self):
         with pytest.raises(DomainError):
@@ -327,4 +334,4 @@ class TestEnumeration:
             enumerate_rational_powers(P_X, 1 << 10, b_max=(1 << 10) + 2)
         # 997*x^2 + 1 up to a = 20: 20 * 29793 = 595860 points, answered
         with pytest.raises(LookupError):
-            enumerate_rational_powers(IntPolynomial((1, 0, 997)), 20)
+            enumerate_rational_powers(IntPolynomial.from_coefficients((1, 0, 997)), 20)

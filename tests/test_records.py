@@ -24,8 +24,8 @@ _STATEMENT = "x^x = 2 has an irrational solution in (3/2, 7/4)"
 _RECORDS = [
     pytest.param(
         IntPolynomial,
-        {"coeffs": (-2, 0, 1)},
-        "IntPolynomial(coeffs=(-2, 0, 1))",
+        {"terms": ((2, 1), (0, -2))},
+        "IntPolynomial(terms=((2, 1), (0, -2)))",
         id="IntPolynomial",
     ),
     pytest.param(
@@ -118,13 +118,48 @@ def test_records_with_different_fields_differ():
 
 # (constructor, arguments, exception type, exact message)
 _INVALID = [
-    pytest.param(IntPolynomial, {"coeffs": ()}, DomainError, "empty polynomial", id="poly-empty"),
+    pytest.param(IntPolynomial, {"terms": ()}, DomainError, "empty polynomial", id="poly-empty"),
     pytest.param(
         IntPolynomial,
-        {"coeffs": (1, 0)},
+        {"terms": ((1, 0),)},
         DomainError,
-        "leading coefficient must be nonzero",
+        "zero coefficient at degree 1",
         id="poly-leading-zero",
+    ),
+    pytest.param(
+        IntPolynomial,
+        {"terms": ((5, 1), (3, 0), (0, 2))},
+        DomainError,
+        "zero coefficient at degree 3",
+        id="poly-inner-zero",
+    ),
+    pytest.param(
+        IntPolynomial,
+        {"terms": ((1, 1), (-1, 1))},
+        DomainError,
+        "degrees must be nonnegative",
+        id="poly-negative-degree",
+    ),
+    pytest.param(
+        IntPolynomial,
+        {"terms": ((-2, 3),)},
+        DomainError,
+        "degrees must be nonnegative",
+        id="poly-negative-constant",
+    ),
+    pytest.param(
+        IntPolynomial,
+        {"terms": ((2, 1), (2, 3))},
+        DomainError,
+        "degrees must strictly decrease",
+        id="poly-repeated-degree",
+    ),
+    pytest.param(
+        IntPolynomial,
+        {"terms": ((0, -2), (2, 1))},
+        DomainError,
+        "degrees must strictly decrease",
+        id="poly-unsorted-degrees",
     ),
     pytest.param(
         BinomialMinPoly,

@@ -37,6 +37,10 @@ from selfpower import solver as solver_module
 from selfpower.cli import _MAX_DEGREE
 
 
+#: IntPolynomial from its coefficients, constant first
+dense = IntPolynomial.from_coefficients
+
+
 def _divisor_exponent(vec, factors):
     # the a with lam^a = s, where lam has exponent vector vec against s's primes
     a = None
@@ -102,7 +106,7 @@ class TestTargetConstruction:
             assert isinstance(target, BinomialMinPoly)
             assert target == binomial
             assert hash(target) == hash(binomial)
-        poly = IntPolynomial((-256, 0, 0, 0, 0, 0, 0, 0, 0, 6561))
+        poly = dense((-256, 0, 0, 0, 0, 0, 0, 0, 0, 6561))
         assert AlgebraicTarget.from_polynomial(poly) == (6561, 9, 256)
 
     def test_reducible_rejected(self):
@@ -115,8 +119,8 @@ class TestTargetConstruction:
             lambda: AlgebraicTarget(1, 2, 4),
             lambda: AlgebraicTarget(s=9, d=4, r=4),
             lambda: AlgebraicTarget.from_binomial(BinomialMinPoly(8, 3, 27)),
-            lambda: AlgebraicTarget.from_polynomial(IntPolynomial((-4, 0, 1))),
-            lambda: AlgebraicTarget.from_polynomial(IntPolynomial((4, 0, -9))),
+            lambda: AlgebraicTarget.from_polynomial(dense((-4, 0, 1))),
+            lambda: AlgebraicTarget.from_polynomial(dense((4, 0, -9))),
         ],
         ids=["positional", "keyword", "from_binomial", "from_polynomial", "negated"],
     )
@@ -134,7 +138,18 @@ class TestTargetConstruction:
 
     def test_non_binomial_rejected(self):
         with pytest.raises(TargetShapeError):
-            AlgebraicTarget.from_polynomial(IntPolynomial((1, 1, 1)))
+            AlgebraicTarget.from_polynomial(dense((1, 1, 1)))
+
+    def test_constant_rejected_as_every_other_shape(self):
+        # a constant P has no root; it is refused with the non-binomial text,
+        # not with as_binomial's refusal of a constant argument
+        with pytest.raises(TargetShapeError) as exc:
+            AlgebraicTarget.from_polynomial(dense((1, 1, 1)))
+        shape = str(exc.value)
+        for poly in (dense((1,)), dense((5,)), dense((-3,)), IntPolynomial(((0, 4),))):
+            with pytest.raises(TargetShapeError) as exc:
+                AlgebraicTarget.from_polynomial(poly)
+            assert str(exc.value) == shape
 
     def test_nonpositive_rational_rejected(self):
         with pytest.raises(DomainError):
