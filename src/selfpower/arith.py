@@ -235,8 +235,9 @@ def _budget_exhausted(n: int) -> ResourceError:
 def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
     """One Brent cycle-finding pass; nontrivial factor of composite odd n, or None.
 
-    Decrements budget[0] per modular multiplication and raises ResourceError
-    when the budget runs out.
+    Spends one unit of budget[0] per product step (y squared and q multiplied,
+    mod n) and per backtrack step, none on the r squarings that advance y;
+    raises ResourceError when the budget runs out.
     """
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)

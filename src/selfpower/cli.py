@@ -15,14 +15,14 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
+from .errors import DECIMAL_TEXT_BITS
 from .errors import DomainError, ParseError, ResourceError, number_text
 
 # every other selfpower module is imported inside the function that needs it,
-# so a command loads only the modules it runs; annotations that name their
-# classes are never evaluated
+# after the argument text has parsed, so a command loads only the modules it
+# runs; annotations that name their classes are never evaluated
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -60,20 +60,27 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _int_literal(digits: str, position: int | None) -> int:
-    """The value of a decimal literal of at most _MAX_COEFFICIENT_BITS bits,
-    its digits counted before converting; the interpreter's int-from-str
-    digit limit (Python >= 3.10.7) is lifted for the conversion, so no
-    environment setting changes what is accepted."""
-    count = len(digits.lstrip("+-"))
+# int() reads at most the 617 digits of 2^DECIMAL_TEXT_BITS at a time, so no
+# int/str digit limit (640 at the lowest) changes what is read
+_TEXT_DIGITS = 617
+# int()'s syntax: whitespace (str.isspace but U+001C-U+001F) around a sign and
+# Unicode decimal digits, single underscores between them
+_LITERAL_RE = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
+
+
+def _int_literal(text: str, position: int | None) -> int:
+    """The value of a decimal literal of at most _MAX_COEFFICIENT_BITS bits as
+    int() reads it, its length checked first; a long one is read in halves."""
+    count = len(text.lstrip("+-"))
     value = None
-    # the interpreter allows no digit limit below 640, so only longer
-    # literals pay for lifting it
-    if count <= 640:
-        value = int(digits)
+    if len(text) <= _TEXT_DIGITS:
+        value = int(text)
     elif count <= _MAX_LITERAL_DIGITS:
-        with _all_digits():
-            value = int(digits)
+        match = _LITERAL_RE.fullmatch(text)
+        if match is None:
+            raise ValueError("invalid decimal literal")
+        value = _digits_value(match[2].replace("_", ""))
+        value = -value if match[1] == "-" else value
     if value is None or value.bit_length() > _MAX_COEFFICIENT_BITS:
         size = f"{count} digits" if value is None else f"{value.bit_length()} bits"
         raise ParseError(
@@ -82,6 +89,14 @@ def _int_literal(digits: str, position: int | None) -> int:
             position=position,
         )
     return value
+
+
+def _digits_value(digits: str) -> int:
+    # the value of a string of decimal digits, read by int() in halves
+    if len(digits) <= _TEXT_DIGITS:
+        return int(digits)
+    half = len(digits) >> 1
+    return _digits_value(digits[:-half]) * 10**half + _digits_value(digits[-half:])
 
 
 def _int_option(text: str) -> int:
@@ -94,62 +109,52 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-@contextmanager
-def _all_digits():
-    # lifts the interpreter's int/str digit limit (Python >= 3.10.7) for
-    # literals and output, whose sizes the literal and bit caps bound
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-# integers past this many bits are written through decimal: str takes time
-# quadratic in the length before Python 3.12, about 1.7 s at 983,041 bits
-# (2 cores, Python 3.11)
-_DECIMAL_OUTPUT_BITS = 8192
+# past this many bits, decimal's multiplication beats int division
+_DIVISION_BITS = 1 << 14
 
 
 def _int_text(n: int) -> str:
-    """str(n), in time quasi-linear in the length of n.
-
-    Past _DECIMAL_OUTPUT_BITS, n is split at half its bits and the halves
-    are converted recursively into Decimals and recombined by decimal's
-    exact multiplication, which is subquadratic; CPython 3.12 converts
-    large ints the same way (_pylong.int_to_decimal_string).
-    """
-    if n.bit_length() <= _DECIMAL_OUTPUT_BITS:
+    """str(n) for an integer of any size, str() writing DECIMAL_TEXT_BITS
+    bits at most.  Up to _DIVISION_BITS, n is divided by a power of ten near
+    its square root; past it, its halves by bits are converted into Decimals
+    and recombined exactly, as CPython 3.12 does (_pylong)."""
+    bits = n.bit_length()
+    if bits <= DECIMAL_TEXT_BITS:
         return str(n)
-    import decimal
+    if n < 0:
+        return "-" + _int_text(-n)
+    if bits <= _DIVISION_BITS:
+        k = bits * 3 // 20  # 10^k < 2^(bits/2)
+        high, low = divmod(n, 10**k)
+        return _int_text(high) + _int_text(low).zfill(k)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
     from functools import cache
 
-    @cache
-    def power(w):  # 2^w
-        if w <= 128:
-            return decimal.Decimal(1 << w)
-        return power(w >> 1) * power(w - (w >> 1))
+    power = cache(lambda w: Decimal(2) ** w)
 
     def convert(m, w):  # m < 2^w
-        if w <= 128:
-            return decimal.Decimal(m)
+        if w <= _DIVISION_BITS:
+            return Decimal(_int_text(m))
         h = w >> 1
         top = m >> h
         return convert(top, w - h) * power(h) + convert(m - (top << h), h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        text = str(convert(abs(n), n.bit_length()))
-    return text if n > 0 else "-" + text
+    with localcontext(Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        return str(convert(n, bits))
 
 
-@_all_digits()
+def _json(value) -> str:
+    """json.dumps(value, sort_keys=True), with integers written by _int_text."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if type(value) is int:
+        return _int_text(value)
+    return json.dumps(value)
+
+
 def format_fraction(q: Fraction) -> str:
     """Canonical rendering 'a/b', with '/b' omitted for integers."""
     if q.denominator == 1:
@@ -224,7 +229,8 @@ def _parse_expression(text: str) -> dict[int, int]:
                     )
                 if e > _MAX_DEGREE:
                     raise ParseError(
-                        f"exponent {e} exceeds the supported degree {_MAX_DEGREE}",
+                        f"exponent {number_text(e)} exceeds the supported degree "
+                        f"{_MAX_DEGREE}",
                         position=pos,
                     )
                 # |fc|^e has more than (bit_length(fc) - 1) * e bits, so a
@@ -258,7 +264,7 @@ def _parse_expression(text: str) -> dict[int, int]:
     return terms
 
 
-def _parse_coefficient_list(text: str) -> list[int]:
+def _parse_coefficient_list(text: str) -> dict[int, int]:
     if not text.endswith("]"):
         raise ParseError("missing closing ']'", position=len(text))
     inner = text[1:-1].strip()
@@ -273,7 +279,7 @@ def _parse_coefficient_list(text: str) -> list[int]:
             raise ParseError(f"bad integer coefficient {token!r}", position=start)
         coeffs.append(_int_literal(token, start + len(part) - len(part.lstrip())))
         offset = start + len(part)
-    return coeffs
+    return dict(enumerate(coeffs))
 
 
 def parse_polynomial(text: str) -> IntPolynomial:
@@ -285,20 +291,16 @@ def parse_polynomial(text: str) -> IntPolynomial:
     cleaned = _normalize_minus(text).strip()
     if not cleaned:
         raise ParseError("empty polynomial", position=0)
+    parse = _parse_coefficient_list if cleaned.startswith("[") else _parse_expression
+    terms = [(n, c) for n, c in parse(cleaned).items() if c]
+    if not terms:
+        raise ParseError("zero polynomial", position=0)
+    # minpoly, and arith with it, is loaded only once the text has parsed
     from .minpoly import IntPolynomial
 
-    if cleaned.startswith("["):
-        coeffs = _parse_coefficient_list(cleaned)
-        if any(coeffs):
-            return IntPolynomial.from_coefficients(coeffs)
-    else:
-        terms = [(n, c) for n, c in _parse_expression(cleaned).items() if c]
-        if terms:
-            return IntPolynomial(tuple(sorted(terms, reverse=True)))
-    raise ParseError("zero polynomial", position=0)
+    return IntPolynomial(tuple(sorted(terms, reverse=True)))
 
 
-@_all_digits()
 def format_polynomial(poly: IntPolynomial) -> str:
     """Canonical rendering like '9*x^3 - 4'; reparsing gives the same polynomial."""
     parts: list[str] = []
@@ -307,7 +309,7 @@ def format_polynomial(poly: IntPolynomial) -> str:
         if k == 0:
             body = _int_text(mag)
         else:
-            xpart = "x" if k == 1 else f"x^{k}"
+            xpart = "x" if k == 1 else f"x^{_int_text(k)}"
             body = xpart if mag == 1 else f"{_int_text(mag)}*{xpart}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -330,12 +332,14 @@ def _format_binomial(binomial: BinomialMinPoly) -> str:
 
 
 def _parse_alpha(text: str) -> AlgebraicTarget:
+    cleaned = _normalize_minus(text).strip()
+    rational = _RATIONAL_RE.fullmatch(cleaned)
+    alpha = parse_rational(cleaned) if rational else parse_polynomial(cleaned)
     from .solver import AlgebraicTarget
 
-    cleaned = _normalize_minus(text).strip()
-    if _RATIONAL_RE.fullmatch(cleaned):
-        return AlgebraicTarget.from_rational(parse_rational(cleaned))
-    return AlgebraicTarget.from_polynomial(parse_polynomial(cleaned))
+    if rational:
+        return AlgebraicTarget.from_rational(alpha)
+    return AlgebraicTarget.from_polynomial(alpha)
 
 
 def _describe_target(target: AlgebraicTarget) -> str:
@@ -345,9 +349,9 @@ def _describe_target(target: AlgebraicTarget) -> str:
 
 
 def _cmd_solve(args):
+    target = _parse_alpha(args.alpha)
     from .solver import solve
 
-    target = _parse_alpha(args.alpha)
     result = solve(target, cross_check=args.verify_both)
     rendered = [format_fraction(x) for x in result.solutions]
     payload = {
@@ -367,11 +371,11 @@ def _cmd_solve(args):
 
 
 def _cmd_minpoly(args):
-    from .minpoly import minimal_polynomial_of_self_power
-
     q = parse_rational(args.fraction)
     if q <= 0:
         raise DomainError(f"need a positive rational, got {number_text(q)}")
+    from .minpoly import minimal_polynomial_of_self_power
+
     binomial = minimal_polynomial_of_self_power(q.numerator, q.denominator)
     payload = {"d": binomial.d, "r": binomial.r, "s": binomial.s}
     human = (
@@ -382,10 +386,10 @@ def _cmd_minpoly(args):
 
 
 def _cmd_powcheck(args):
-    from .polypower import analyze_poly_power
-
     poly = parse_polynomial(args.poly)
     x = parse_rational(args.x)
+    from .polypower import analyze_poly_power
+
     verdict = analyze_poly_power(poly, x)
     value = None if verdict.rational is None else format_fraction(verdict.rational)
     # the exponent may have ~300,000 digits, and writing it costs seconds
@@ -397,9 +401,9 @@ def _cmd_powcheck(args):
 
 
 def _cmd_powsearch(args):
+    poly = parse_polynomial(args.poly)
     from .polypower import enumerate_rational_powers, leading_denominator_bound
 
-    poly = parse_polynomial(args.poly)
     hits = enumerate_rational_powers(poly, args.a_max, args.b_max)
     payload = {
         "a_max": args.a_max,
@@ -410,7 +414,8 @@ def _cmd_powsearch(args):
     }
     lines = [
         f"rational values of x^({format_polynomial(poly)}) for x = a/b, "
-        f"a <= {args.a_max}, 2 <= b <= {args.b_max or payload['bound']}:"
+        f"a <= {_int_text(args.a_max)}, "
+        f"2 <= b <= {_int_text(args.b_max or payload['bound'])}:"
     ]
     lines += [f"  x = {h['x']}: {h['value']}" for h in payload["hits"]]
     if not hits:
@@ -424,19 +429,18 @@ def _cmd_bound(args):
 
         value = denominator_bound(args.degree)
         payload = {"bound": value, "degree": args.degree}
-        human = f"denominator bound for degree {args.degree}: {value}"
+        degree, bound = map(_int_text, (args.degree, value))
+        human = f"denominator bound for degree {degree}: {bound}"
     else:
         from .polypower import leading_denominator_bound, zero_exponent_denominator_bound
 
         value = leading_denominator_bound(args.leading)
-        payload = {
-            "bound": value,
-            "leading": args.leading,
-            "zero_exponent_bound": zero_exponent_denominator_bound(args.leading),
-        }
+        zero = zero_exponent_denominator_bound(args.leading)
+        payload = {"bound": value, "leading": args.leading, "zero_exponent_bound": zero}
+        leading, bound, zero = map(_int_text, (args.leading, value, zero))
         human = (
-            f"denominator bound for leading coefficient {args.leading}: {value} "
-            f"(zero-exponent case: {payload['zero_exponent_bound']})"
+            f"denominator bound for leading coefficient {leading}: {bound} "
+            f"(zero-exponent case: {zero})"
         )
     return payload, human
 
@@ -455,11 +459,11 @@ def _certificate_payload(cert: Certificate) -> dict:
 
 
 def _cmd_classify(args):
+    width = None if args.width is None else parse_rational(args.width)
+    q = parse_rational(args.q)
     from .certify import DEFAULT_WIDTH, classify_preimage
 
-    width = DEFAULT_WIDTH if args.width is None else parse_rational(args.width)
-    q = parse_rational(args.q)
-    result = classify_preimage(q, width)
+    result = classify_preimage(q, DEFAULT_WIDTH if width is None else width)
     if isinstance(result, int):
         payload = {"integer": result, "q": format_fraction(q)}
         human = f"x^x = {format_fraction(q)} has the integer solution x = {result}"
@@ -497,7 +501,7 @@ def _cmd_pairs(args):
         "y": format_fraction(y),
     }
     human = (
-        f"m = {args.m}: x = {payload['x']}, y = {payload['y']} "
+        f"m = {_int_text(args.m)}: x = {payload['x']}, y = {payload['y']} "
         f"({relation} {'verified' if verified else 'FAILED'})"
     )
     return payload, human
@@ -508,9 +512,8 @@ def _cmd_decompose(args):
 
     lam = lambda_decompose(args.x, args.y, args.a, args.b)
     payload = {"lambda": lam}
-    human = (
-        f"lambda = {lam}: {lam}^{args.b} = {args.x}, {lam}^{args.a} = {args.y}"
-    )
+    lam_text, a, b, x, y = map(_int_text, (lam, args.a, args.b, args.x, args.y))
+    human = f"lambda = {lam_text}: {lam_text}^{b} = {x}, {lam_text}^{a} = {y}"
     return payload, human
 
 
@@ -528,10 +531,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(
-            json.dumps({"error": message, "kind": "parse"}, sort_keys=True),
-            file=sys.stderr,
-        )
+        print(_json({"error": message, "kind": "parse"}), file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -617,17 +617,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(exc: Exception, kind: str, code: int) -> "SystemExit":
-    print(json.dumps({"error": str(exc), "kind": kind}, sort_keys=True), file=sys.stderr)
+    print(_json({"error": str(exc), "kind": kind}), file=sys.stderr)
     return SystemExit(code)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # answers are written with every digit; the caps bound how many
-        with _all_digits():
-            payload, human = _COMMANDS[args.command](args)
-            text = json.dumps(payload, sort_keys=True) if args.json else human
+        payload, human = _COMMANDS[args.command](args)
+        text = _json(payload) if args.json else human
     except ParseError as exc:
         raise _fail(exc, "parse", 2) from exc
     except ResourceError as exc:

@@ -1,5 +1,6 @@
 """CLI tests: parsing, golden outputs, exit codes, flags."""
 
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +21,6 @@ import selfpower
 from selfpower import BinomialMinPoly, DomainError, IntPolynomial, ParseError
 from selfpower import cli
 from selfpower.cli import (
-    _all_digits,
     _format_binomial,
     format_fraction,
     format_polynomial,
@@ -27,6 +28,19 @@ from selfpower.cli import (
     parse_polynomial,
     parse_rational,
 )
+from selfpower.errors import DECIMAL_TEXT_BITS
+
+
+@contextmanager
+def _every_digit():
+    """The interpreter's int/str digit limit lifted, for the tests' own
+    reference texts and values; the package itself never touches it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(capsys, argv, expect_exit=0):
@@ -125,7 +139,7 @@ class TestParsePolynomial:
         # one cap for every literal, 65536 bits or 19729 digits, whatever the
         # interpreter's int-from-str digit limit; 2^65536 - 1 has 19729 digits
         assert 10**19728 < 2**65536 - 1 < 10**19729
-        with _all_digits():
+        with _every_digit():
             largest, past = str(2**65536 - 1), str(2**65536)
         for digits, size in (("7" * 19730, "19730 digits"), (past, "65537 bits")):
             cases = [
@@ -198,6 +212,14 @@ class TestParsePolynomial:
         )
         assert parse_polynomial("2^65535*x - 2^65535*x + x").terms == ((1, 1),)
 
+    def test_exponent_past_the_degree_cap_is_written_by_bit_length(self):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("x^" + "9" * 5000)
+        assert str(exc.value) == (
+            "exponent <16610-bit integer> exceeds the supported degree 65536 "
+            "(at position 2)"
+        )
+
     def test_large_powers_are_fast(self):
         start = time.perf_counter()
         assert parse_polynomial("x^9000*x^9000*x^9000 - 3").terms == ((27000, 1), (0, -3))
@@ -265,22 +287,105 @@ class TestParsePolynomial:
 
 
 def test_long_integers_are_written_as_str_writes_them():
-    # past the threshold integers go through decimal, below it through str
+    # str up to DECIMAL_TEXT_BITS, divisions by powers of ten up to
+    # _DIVISION_BITS, decimal past it; powers of ten put runs of zeros where
+    # the pieces join
     rng = random.Random(20)
-    cut = cli._DECIMAL_OUTPUT_BITS
-    sizes = [1, 2, 127, 128, 129, cut - 1, cut, cut + 1, 2 * cut, 1 << 20]
+    short, cut = DECIMAL_TEXT_BITS, cli._DIVISION_BITS
+    sizes = [1, 2, short - 1, short, short + 1, 4096, cut - 1, cut, cut + 1, 1 << 20]
     sizes += [int(2 ** rng.uniform(0, 20)) for _ in range(24)]
-    values = [1 << cut, (1 << cut) - 1, 10**2466, 10**2467 - 1, 10**5000]
+    values = [1 << cut, (1 << cut) - 1, 10**616, 10**617 - 1, 10**617, 10**617 + 1]
+    values += [10**2466, 10**2467 - 1, 10**4932 + 1, 10**5000, 10**20000 + 7]
     values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
-    with _all_digits():
-        assert cli._int_text(0) == "0"
-        for n in values:
-            text = str(n)
-            assert cli._int_text(n) == text, n.bit_length()
-            assert cli._int_text(-n) == "-" + text, n.bit_length()
+    with _every_digit():
+        texts = [str(n) for n in values]
         n = rng.getrandbits(3 * cut) | 1
-        assert format_fraction(Fraction(-n, 2)) == f"-{n}/2"
-        assert _format_binomial(BinomialMinPoly(n, 2, 2)) == f"{n}*x^2 - 2"
+        n_text = str(n)
+    assert cli._int_text(0) == "0"
+    for value, text in zip(values, texts):
+        assert cli._int_text(value) == text, value.bit_length()
+        assert cli._int_text(-value) == "-" + text, value.bit_length()
+    assert format_fraction(Fraction(-n, 2)) == f"-{n_text}/2"
+    assert _format_binomial(BinomialMinPoly(n, 2, 2)) == f"{n_text}*x^2 - 2"
+
+
+class TestLongLiterals:
+    """Literals longer than 640 characters, the interpreter's lowest int/str
+    digit limit, are read in pieces; each is accepted or refused as int()
+    with the limit lifted reads it."""
+
+    DIGITS = "1234567890" * 70
+    ARABIC = "".join(chr(0x660 + int(d)) for d in DIGITS)  # Arabic-Indic digits
+
+    def expect_as_int(self, texts):
+        for text in texts:
+            assert len(text) > 640
+            with _every_digit():
+                try:
+                    expected = int(text)
+                except ValueError:
+                    expected = None
+            if expected is None:
+                with pytest.raises(argparse.ArgumentTypeError) as exc:
+                    cli._int_option(text)
+                assert str(exc.value) == f"invalid int value: {text!r}"
+            else:
+                assert cli._int_option(text) == expected, text[:20]
+
+    def test_signs(self):
+        d = self.DIGITS
+        self.expect_as_int(["+" + d, "-" + d, "--" + d, "+-" + d, "−" + d, "- " + d])
+        self.expect_as_int([d + "-", d[:350] + "-" + d[350:], "-0" + d])
+        with _every_digit():
+            value = int(d)
+        assert parse_rational("-" + d) == -value
+        assert parse_rational(f"+{d}/{d}7") == Fraction(value, 10 * value + 7)
+        assert parse_polynomial(f"−{d}*x + {d}").terms == ((1, -value), (0, value))
+
+    def test_whitespace_around_the_digits(self):
+        d = self.DIGITS
+        self.expect_as_int([f" {d} ", f"\t\n{d}\r\n", f"\u00a0-{d}\u2003", f"\x1c{d}"])
+        self.expect_as_int([d[:350] + " " + d[350:], f"- {d}", f"{d}\u00a0_1"])
+
+    def test_underscores_between_digits(self):
+        d = self.DIGITS
+        grouped = "_".join(d[i : i + 3] for i in range(0, len(d), 3))
+        self.expect_as_int([grouped, "-" + grouped, f" {grouped} "])
+        self.expect_as_int(["_" + d, d + "_", d[:350] + "__" + d[350:], "-_" + d])
+        # the expression and rational grammars take digits only
+        with pytest.raises(ParseError) as exc:
+            parse_rational(grouped)
+        assert exc.value.position == 3
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(f"{grouped}*x")
+        assert str(exc.value) == "unexpected character '_' (at position 3)"
+
+    def test_non_ascii_decimal_digits(self):
+        d, arabic = self.DIGITS, self.ARABIC
+        fullwidth = "".join(chr(0xFF10 + int(c)) for c in d)
+        self.expect_as_int([arabic, "-" + arabic, fullwidth, d[:350] + arabic[350:]])
+        self.expect_as_int(["²" * 700, d + "²", "٣_" + arabic])
+        with _every_digit():
+            value = int(d)
+        assert parse_rational(f"-{arabic}/7") == Fraction(-value, 7)
+        assert parse_polynomial(f"[{arabic}, {fullwidth}]").terms == ((1, value), (0, value))
+
+    def test_bad_syntax(self, capsys):
+        d = self.DIGITS
+        self.expect_as_int([d + "a", "0x" + d, d + ".5", d + "e3", d + "/7", "1" + " " * 700])
+        # options: argparse's text of the refusal
+        _, err = run_cli(capsys, ["bound", "--leading", d + "a"], expect_exit=2)
+        assert json.loads(err) == {
+            "error": f"argument --leading: invalid int value: '{d}a'",
+            "kind": "parse",
+        }
+        # rationals and polynomials: the grammar refuses before any conversion
+        with pytest.raises(ParseError) as exc:
+            parse_rational(d + ".5")
+        assert str(exc.value) == f"not a rational: '{d}.5' (at position 700)"
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(f"[{d}a]")
+        assert str(exc.value) == f"bad integer coefficient '{d}a' (at position 1)"
 
 
 class TestGoldenOutputs:
@@ -373,7 +478,7 @@ class TestGoldenOutputs:
         human_out, _ = run_cli(capsys, argv)
         minpoly_out, _ = run_cli(capsys, ["minpoly", "5000/4999", "--json"])
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-        with _all_digits():
+        with _every_digit():
             value = str(15**20242)
             assert json.loads(json_out) == {"exponent": "20242", "rational": value}
             assert human_out == f"(15)^(20242) = {value}\n"
@@ -569,7 +674,7 @@ class TestExitCodes:
 _F7 = 2**128 + 1
 # past the interpreter's default 4300-digit int/str limit, within the literal cap
 _LONG = "7" * 4400
-with _all_digits():
+with _every_digit():
     _LARGEST = str(2**65536 - 1)  # the largest literal, 19729 digits
     _BELOW = str(2**65536 - 2)
 _ADVERSARIAL = [
@@ -702,6 +807,35 @@ print((heavy, loaded))
 """
 
 
+def test_malformed_text_loads_no_arithmetic():
+    # a command reads its argument text before it imports the modules that
+    # act on it, so a parse error compiles none of them
+    probe = (
+        "import sys, selfpower.cli\n"
+        "try:\n"
+        "    selfpower.cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('selfpower')))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    for argv in (
+        ["powcheck", "--poly", "2*x^^2", "--x", "1"],
+        ["powsearch", "--poly", "[1, 2", "--a-max", "3"],
+        ["solve", "--alpha", "2*x^^2 - 1"],
+        ["solve", "--alpha", "[1, 2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        loaded = "['selfpower', 'selfpower.cli', 'selfpower.errors']"
+        assert proc.stdout.splitlines() == ["2", loaded], (argv, proc.stderr)
+
+
 def test_startup_leaves_heavy_modules_unloaded():
     # every CLI call pays for the modules it loads; dataclasses alone pulls
     # in inspect, ast, dis and tokenize, and each selfpower module a command
@@ -737,7 +871,7 @@ class TestAdversarialInputs:
         if proc.returncode:
             assert "kind" in json.loads(proc.stderr)
         else:
-            with _all_digits():  # an answer may hold integers of any length
+            with _every_digit():  # an answer may hold integers of any length
                 json.loads(proc.stdout)
 
 
@@ -748,7 +882,7 @@ def test_closed_stdout_exits_quietly():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    with _all_digits():
+    with _every_digit():
         fraction = f"7/{2**65536 - 1}"
     proc = subprocess.Popen(
         [sys.executable, "-m", "selfpower.cli", "minpoly", fraction, "--json"],
@@ -787,7 +921,8 @@ def test_readme_states_every_cap():
         "_MAX_PROBES": (certify._MAX_PROBES, "makes at most {} probes"),
         "_MAX_SWEEP_POINTS": (polypower._MAX_SWEEP_POINTS, "sweep covers at most {} "),
         "DECIMAL_TEXT_BITS": (errors.DECIMAL_TEXT_BITS, "an integer of more than {} bits"),
-        "_DECIMAL_OUTPUT_BITS": (cli._DECIMAL_OUTPUT_BITS, "Integers past {} bits"),
+        "_DIVISION_BITS": (cli._DIVISION_BITS, "Integers past {} bits"),
+        "_MAX_LOG_PRECISION": (arith._MAX_LOG_PRECISION, "precision cap of {} bits"),
     }
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n### Exit codes and errors\n", 1)[1].split("\n#", 1)[0]
@@ -828,7 +963,7 @@ class TestMinpolyWithoutFactorization:
 
     def test_4000_digit_prime_denominator(self):
         b = 10**3999 + 7
-        with _all_digits():  # the test's own text of b, at any digit limit
+        with _every_digit():  # the test's own text of b, at any digit limit
             proc = run_module(["minpoly", f"1/{b}"], 10)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["d"] == b
@@ -836,7 +971,7 @@ class TestMinpolyWithoutFactorization:
     def test_smooth_denominator(self):
         # lcm(1..8999), 12983 bits, is no perfect power
         b = math.lcm(*range(1, 9000))
-        with _all_digits():
+        with _every_digit():
             proc = run_module(["minpoly", f"1/{b}"], 10)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout) == {"d": b, "r": 1, "s": b}

@@ -12,21 +12,32 @@ import hashlib
 import io
 import json
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from selfpower.cli import _all_digits, main
+from selfpower.cli import (
+    format_fraction,
+    format_polynomial,
+    main,
+    parse_polynomial,
+    parse_rational,
+)
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 _F7 = 2**128 + 1
-with _all_digits():
-    _LARGEST = str(2**65536 - 1)  # 19729 digits, the largest literal
-    _PAST = str(2**65536)  # 19729 digits, one past the bit cap
-    _PAST_PROBES = f"1/{2**10001}"  # at q = 2, a width one probe past the cap
+# the corpus's own texts of long integers: Decimal reads an int without text,
+# so no int/str digit limit applies
+_LARGEST = str(Decimal(2**65536 - 1))  # 19729 digits, the largest literal
+_BELOW = str(Decimal(2**65536 - 2))  # 19729 digits, coprime to _LARGEST
+_PAST = str(Decimal(2**65536))  # 19729 digits, one past the bit cap
+_PAST_PROBES = f"1/{Decimal(2**10001)}"  # at q = 2, a width one probe past the cap
 _TOO_LONG = "1" * 19730  # refused before it is converted
 
 _WIDTHS = ["1/1000000000", "1/1" + "0" * 40, "1/1" + "0" * 150, "1/1024", f"1/{2**77}"]
@@ -64,6 +75,8 @@ def _solve() -> list[list[str]]:
         f"{_F7}*x^2 - 1",
         # parse errors
         "2*x^^2 - 1", "[1, 2", "x^65537 - 3",
+        # an exponent past the degree cap, written by its bit length
+        "x^" + "9" * 5000,
     ]
     # the = form keeps argparse from reading a leading minus as an option
     argvs = [["solve", f"--alpha={alpha}", "--json"] for alpha in alphas]
@@ -166,6 +179,11 @@ def _caps() -> list[list[str]]:
         ["minpoly", f"{_PAST}/3"],
         ["bound", "--leading", _LARGEST, "--json"],
         ["bound", "--degree", _PAST],
+        # integers of 19729 digits in human texts
+        ["bound", "--leading", _LARGEST],
+        ["bound", "--degree", _LARGEST],
+        ["decompose", "--x", _LARGEST, "--y", _LARGEST, "--a", "1", "--b", "1"],
+        ["decompose", "--x", "1", "--y", "1", "--a", _LARGEST, "--b", _BELOW],
         ["powcheck", "--poly", "x^65536 + 1", "--x", "99999/99998", "--json"],
         ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"],
         ["pairs", "--m", _TOO_LONG],
@@ -202,23 +220,47 @@ def _shown(argv: list[str]) -> str:
 #: digest of each family; a change that moves a family's bytes on purpose
 #: repins it here and names the cases that moved in CHANGES.md
 PINNED = {
-    "bound": "3c54ede79daaf3c39ea1e18af4583cfdae3e1a61e4510227dd7a875446db4d28",
+    "bound": "f5962f3366b910cb1a8713d85ca3eb12578c9ee6e167ec01f70d6970a838ff3c",
     "classify": "fccee59284d7eba277952a1d7d7fa13252212f5914755228160920c22b2fb195",
-    "decompose": "d45cbc82d3240b4a53397a3348c131613ed6ddd58f348ef8eef5651c6402aaff",
+    "decompose": "d6e86ca3e6aad97036824721ff757d652b3988a2f688c1ce7cfe1bc9e6be91ec",
     "minpoly": "182a8802761a05f661678bf5608ec089b6b6a75751c4e7e94aab70095b432487",
     "pairs": "1ed75edd663648ff28d356c1ddb3f636b0d659b5f694bbe5d9669bb86a018107",
     "powcheck": "18229c219fb776af6c6497ee9cfb947e1ffc6ce8eaf9cabf7e375c2504ba2576",
     "powsearch": "013188556d8d24050c682e24d8b22bcac064c63d53435922ce90ee33b78edb13",
-    "solve": "c56b59f99d5b9487cc5dc9fd9e0fd40dc53c710966836bfa2f59a49af0969383",
+    "solve": "cf50086ef4f3467f8973a8444a3b7a0d4d7f3c9223aa43120699147be5527a4c",
 }
 
 
+def _refuse(limit):
+    raise AssertionError(f"sys.set_int_max_str_digits({limit}) called")
+
+
 @pytest.mark.parametrize("family", sorted(corpus()))
-def test_family_digest(family):
+def test_family_digest(family, monkeypatch):
+    # the commands read and write integers of every allowed size without
+    # touching the interpreter's int/str digit limit, which is process-wide
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(sys, "set_int_max_str_digits", _refuse)
     argvs = corpus()[family]
     hashes = [run_case(argv) for argv in argvs]
+    assert sys.get_int_max_str_digits() == limit
     digest = hashlib.sha256("\n".join(hashes).encode()).hexdigest()
     if digest != PINNED[family]:
         for h, argv in zip(hashes, argvs):
             print(f"{h}  {_shown(argv)}")
     assert digest == PINNED[family], (family, len(argvs), digest)
+
+
+def test_library_texts_leave_the_digit_limit(monkeypatch):
+    # the parsers and formatters, called as library functions, read and write
+    # 19729-digit integers at any int/str digit limit without touching it
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(sys, "set_int_max_str_digits", _refuse)
+    n = 2**65536 - 1
+    assert parse_rational(f"-{_LARGEST}/{_BELOW}") == Fraction(-n, n - 1)
+    assert format_fraction(Fraction(-n, n - 1)) == f"-{_LARGEST}/{_BELOW}"
+    poly = parse_polynomial(f"{_LARGEST}*x^2 - {_BELOW}")
+    assert poly.terms == ((2, n), (0, 1 - n))
+    assert format_polynomial(poly) == f"{_LARGEST}*x^2 - {_BELOW}"
+    assert parse_polynomial(f"[-{_BELOW}, 0, {_LARGEST}]") == poly
+    assert sys.get_int_max_str_digits() == limit
