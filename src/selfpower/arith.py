@@ -277,40 +277,6 @@ def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
 _MAX_COFACTOR_BITS = 1 << 10
 
 
-@lru_cache(maxsize=None)
-def _residue_moduli(p: int) -> tuple[int, ...]:
-    """The three smallest primes q = 1 (mod 2p)."""
-    moduli: list[int] = []
-    q = 2 * p + 1
-    while len(moduli) < 3:
-        if is_prime(q):
-            moduli.append(q)
-        q += 2 * p
-    return tuple(moduli)
-
-
-def _may_be_power(n: int, p: int) -> bool:
-    """False when n is provably no p-th power.
-
-    A p-th power n = m^p not divisible by a prime q = 1 (mod p) satisfies
-    n^((q-1)/p) = m^(q-1) = 1 (mod q); a non-power passes each such test with
-    probability about 1/p, so most exponents cost no root extraction.  When q
-    divides n, p must divide the exponent of q in n, and the test runs on n
-    with q divided out, so smooth n are filtered too.
-    """
-    for q in _residue_moduli(p):
-        r = n % q
-        if r == 0:
-            # n = m^p has v_q(n) = p * v_q(m), and n / q^v is again a p-th power
-            n, v = _remove_prime(n, q)
-            if v % p:
-                return False
-            r = n % q
-        if pow(r, (q - 1) // p, q) != 1:
-            return False
-    return True
-
-
 def _as_perfect_power(n: int, m: int) -> tuple[int, int]:
     """Largest k with root**k == n, for n >= 2; returns (root, k), k = 1 when
     n is no perfect power.
@@ -318,7 +284,9 @@ def _as_perfect_power(n: int, m: int) -> tuple[int, int]:
     m is a lower bound the caller knows on every root: root >= 2^m, so
     n >= 2^(m*p) and only the prime exponents p <= (bit_length(n) - 1) / m
     can occur.  m = 1 holds for every n; a cofactor that trial division
-    leaves has roots above 1e6 > 2^19, so factorize passes 19.  Exponents run
+    leaves has roots above 1e6 > 2^19, so factorize passes 19.  Each prime
+    exponent costs one integer_kth_root, which rejects almost every n
+    from its low and leading bits before any full-size power.  Exponents run
     through the trial primes, so n past 1e6 * m bits is refused.
     """
     max_exponent = (n.bit_length() - 1) // m
@@ -331,11 +299,10 @@ def _as_perfect_power(n: int, m: int) -> tuple[int, int]:
     for p in _trial_primes:
         if p > max_exponent:
             break
-        if _may_be_power(n, p):
-            root = integer_kth_root(n, p)
-            if root is not None:
-                base, k = _as_perfect_power(root, m)
-                return base, k * p
+        root = integer_kth_root(n, p)
+        if root is not None:
+            base, k = _as_perfect_power(root, m)
+            return base, k * p
     return n, 1
 
 
@@ -395,57 +362,131 @@ def factorize(n: int) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-def _kth_root_floor(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1.
+def _power_mod_2(y: int, k: int, bits: int) -> int:
+    """y**k mod 2^bits, for k >= 1, reduced by masks: pow(y, k, 2**bits)
+    divides instead, 2-8 times slower from 1024 bits on."""
+    mask = (1 << bits) - 1
+    y &= mask
+    result = y
+    for digit in bin(k)[3:]:
+        result = result * result & mask
+        if digit == "1":
+            result = result * y & mask
+    return result
 
-    A root of up to 64 bits comes from binary search on its bit-length
-    bracket.  A longer one comes from Newton's iteration, started above the
-    root from the root of n's leading bits, so it takes a few steps instead of
-    one step per bit of the root.
+
+def _two_adic_root(a: int, k: int, bits: int) -> int:
+    """The unique odd c < 2^bits with c**k = a (mod 2^bits), for odd a, k.
+
+    Newton's iteration for the inverse root, y**k * a = 1, doubles the
+    number of correct low bits per step from y = 1 (Hensel lifting; the
+    derivative k * a * y**(k - 1) is odd), and c = a * y**(k - 1).
     """
-    if n == 1 or k >= n.bit_length():
-        return 1
-    if k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    shift = (n.bit_length() - 1) // k
-    if shift >= 64:
-        # with top the root of n >> k*h, n < ((top + 1) * 2^h)^k: x starts
-        # above the root, by a relative 2^-(shift - h) at most
-        h = shift // 2
-        x = (_kth_root_floor(n >> (k * h), k) + 1) << h
-        while True:
-            # from above, the floored Newton step decreases until it reaches
-            # the floor of the root (arithmetic-geometric mean inequality)
-            y = ((k - 1) * x + n // x ** (k - 1)) // k
-            if y >= x:
-                return x
-            x = y
-    lo = 1 << shift
-    hi = lo << 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    steps = []
+    b = bits
+    while b > 1:
+        steps.append(b)
+        b = (b + 1) // 2
+    k_inverse = pow(k, -1, 1 << bits)
+    y = 1
+    for b in reversed(steps):
+        mask = (1 << b) - 1
+        error = (1 - (a & mask) * _power_mod_2(y, k, b)) & mask
+        y = (y + (y * error & mask) * (k_inverse & mask)) & mask
+    mask = (1 << bits) - 1
+    return (a & mask) * _power_mod_2(y, k - 1, bits) & mask
+
+
+def _two_adic_square_root(a: int, bits: int) -> int:
+    """The c < 2^bits with c = 1 (mod 4) and c*c = a (mod 2^(bits + 1)), for
+    a = 1 (mod 8) and bits >= 2; -c is the only other root modulo 2^bits.
+
+    Newton's iteration for the inverse root, y*y * a = 1, takes the number of
+    correct low bits from i to 2i - 2 per step, from y = 1 at i = 3: with
+    a*y*y = 1 + 2^i u, y * (3 - a*y*y) / 2 = y * (1 - 2^(i-1) u).  Then
+    c = a * y, up to sign.
+    """
+    steps = []
+    b = bits + 1
+    while b > 3:
+        steps.append(b)
+        b = (b + 3) // 2
+    y = 1
+    for b in reversed(steps):
+        # y * (3 - a*y*y) is even: modulo 2^(b + 1) it gives y modulo 2^b
+        mask = (1 << (b + 1)) - 1
+        y = (y * ((3 - (a & mask) * (y * y & mask)) & mask) & mask) >> 1
+    c = (a * y) & ((1 << bits) - 1)
+    return c if c & 3 == 1 else (1 << bits) - c
+
+
+def _leading_bits_differ(t: int, k: int, n: int) -> bool:
+    """True when 64-bit log2 enclosures prove t**k != n.
+
+    The enclosures are taken around _log2_interval's cache: the candidate
+    roots of one input would otherwise evict the ones a certificate reuses.
+    """
+    enclose = _log2_interval.__wrapped__
+    t_lo, t_hi = enclose(t, 64)
+    n_lo, n_hi = enclose(n, 64)
+    return k * t_hi < n_lo or k * t_lo > n_hi
 
 
 def integer_kth_root(n: int, k: int) -> int | None:
-    """The integer m with m**k == n exactly, or None. Requires n >= 0, k >= 1."""
+    """The integer m with m**k == n exactly, or None. Requires n >= 0, k >= 1.
+
+    The cheapest necessary conditions come first, then one candidate root
+    and one exact power (Bernstein, "Detecting perfect powers in essentially
+    linear time", Math. Comp. 67, 1998):
+
+    1. a root m >= 2 makes n >= 2^k, and k must divide the 2-adic valuation
+       v of n, so n = 2^v * a with a odd and m = 2^(v/k) * a^(1/k);
+    2. a^(1/k) has length = ceil(bits(a) / k) bits, so its low length + 1
+       bits decide it.  With k = 2^e * j, j odd, they come from the unique
+       2-adic j-th root of a, lifted by Newton's iteration modulo
+       2^(length + 1 + e), then from e 2-adic square roots, each one bit
+       shorter, of which only one lies below 2^length;
+    3. a candidate of any other bit length, or whose k-th power 64-bit log2
+       enclosures separate from a, is no root;
+    4. only then is the one power candidate**k compared with a.
+
+    Every step but the last works on integers of about bits(a) / k bits.
+    """
     if k < 1:
         raise DomainError("k must be >= 1")
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n in (0, 1):
+    if n < 2 or k == 1:
         return n
-    m = _kth_root_floor(n, k)
-    # n >= 2 is no power of 1, and 1**k would cost one squaring per bit of k
-    if m == 1:
+    if k >= n.bit_length():
         return None
-    return m if m**k == n else None
+    v = (n & -n).bit_length() - 1
+    if v % k:
+        return None
+    a = n >> v
+    e = (k & -k).bit_length() - 1
+    j = k >> e
+    bits = a.bit_length()
+    length = -(-bits // k)
+    # the root's low length + 1 bits, and one more for each square root
+    # below, which loses one
+    candidate = a & ((1 << (length + 1 + e)) - 1)
+    if j > 1:
+        candidate = _two_adic_root(a, j, length + 1 + e)
+    for i in range(e, 0, -1):
+        # an odd square is 1 mod 8
+        if candidate & 7 != 1:
+            return None
+        candidate = _two_adic_square_root(candidate, length + i)
+    if e:
+        # the root is c or -c modulo 2^(length + 1), and only one of them
+        # lies below 2^length
+        candidate = min(candidate, (1 << (length + 1)) - candidate)
+    if candidate.bit_length() != length or (
+        bits > _DIRECT_BITS and _leading_bits_differ(candidate, k, a)
+    ):
+        return None
+    return candidate << (v // k) if candidate**k == a else None
 
 
 def _sizes_overlap(x: int, p: int, y: int, q: int) -> bool:
@@ -471,7 +512,11 @@ def powers_equal(x: int, p: int, y: int, q: int) -> bool:
     if q == 0 or y == 1:
         return False
     g = gcd(p, q)
-    p, q = p // g, q // g
+    q //= g
+    # x = lam**q with lam >= 2 has more than q bits
+    if x.bit_length() <= q:
+        return False
+    p //= g
     lam = integer_kth_root(x, q)
     return lam is not None and _sizes_overlap(lam, p, y, 1) and lam**p == y
 

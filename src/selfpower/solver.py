@@ -80,8 +80,7 @@ class AlgebraicTarget(BinomialMinPoly):
         if binomial is None:
             raise TargetShapeError(
                 "alpha must be the positive root of a binomial s*x^d - r with "
-                "r, s >= 1; other polynomial shapes admit no rational solutions "
-                "of x^x = alpha and are rejected"
+                "r, s >= 1; other polynomial shapes are not supported"
             )
         return cls.from_binomial(binomial)
 

@@ -80,11 +80,91 @@ def eager_trial_primes():
     return [i for i in range(limit + 1) if sieve[i]]
 
 
+def _kth_root_floor(n, k):
+    """floor(n ** (1/k)) for n >= 1, as integer_kth_root took it before it
+    built one candidate root from n's low bits: binary search for a root of
+    up to 64 bits, Newton's iteration from above for a longer one."""
+    if n == 1 or k >= n.bit_length():
+        return 1
+    if k == 1:
+        return n
+    if k == 2:
+        return isqrt(n)
+    shift = (n.bit_length() - 1) // k
+    if shift >= 64:
+        h = shift // 2
+        x = (_kth_root_floor(n >> (k * h), k) + 1) << h
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                return x
+            x = y
+    lo = 1 << shift
+    hi = lo << 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def reference_kth_root(n, k):
+    """integer_kth_root through the floor root: the same answer, or None."""
+    if n in (0, 1):
+        return n
+    m = _kth_root_floor(n, k)
+    return m if m > 1 and m**k == n else None
+
+
+@cache
+def _residue_moduli(p):
+    """The three smallest primes q = 1 (mod 2p)."""
+    moduli = []
+    q = 2 * p + 1
+    while len(moduli) < 3:
+        if is_prime(q):
+            moduli.append(q)
+        q += 2 * p
+    return tuple(moduli)
+
+
+def _may_be_power(n, p):
+    """False when n is provably no p-th power: the residue filter of
+    _as_perfect_power before it asked integer_kth_root alone."""
+    for q in _residue_moduli(p):
+        r = n % q
+        if r == 0:
+            n, v = arith._remove_prime(n, q)
+            if v % p:
+                return False
+            r = n % q
+        if pow(r, (q - 1) // p, q) != 1:
+            return False
+    return True
+
+
+def _as_perfect_power(n, m):
+    """arith._as_perfect_power as it was: a root only where the residue
+    filter passes, through the floor root."""
+    max_exponent = (n.bit_length() - 1) // m
+    for p in eager_trial_primes():
+        if p > max_exponent:
+            break
+        if _may_be_power(n, p):
+            root = reference_kth_root(n, p)
+            if root is not None:
+                base, k = _as_perfect_power(root, m)
+                return base, k * p
+    return n, 1
+
+
 def reference_as_perfect_power(n):
     for p in eager_trial_primes():
         if p > n.bit_length():
             break
-        root = integer_kth_root(n, p)
+        root = reference_kth_root(n, p)
         if root is not None and root < n:
             base, k = reference_as_perfect_power(root)
             return base, k * p
@@ -216,15 +296,35 @@ class TestFactorize:
 
     def test_residue_filter_rejects_smooth_non_powers(self):
         # lcm(1..8999) is divisible by a residue modulus q = 1 (mod 2p) of
-        # each prime p below 200, to an exponent p does not divide; p-th
-        # powers divisible by every modulus of p pass
+        # each prime p below 200, to an exponent p does not divide, and the
+        # powers m**p divisible by every modulus of p passed the old filter;
+        # one candidate root per exponent answers as the filter did
         n = lcm(*range(1, 9000))
+        assert arith._as_perfect_power(n, 1) == _as_perfect_power(n, 1) == (n, 1)
         for p in eager_trial_primes()[:46]:
-            assert not arith._may_be_power(n, p), p
-            moduli = arith._residue_moduli(p)
+            moduli = _residue_moduli(p)
             m = 6 * prod(q**j for j, q in enumerate(moduli, 1))
-            assert arith._may_be_power(m**p, p), p
-            assert not arith._may_be_power(m**p * moduli[0], p), p
+            for value in (m**p, m**p * moduli[0]):
+                assert arith._as_perfect_power(value, 1) == _as_perfect_power(value, 1), p
+            assert arith._as_perfect_power(m**p, 1) == (m, p)
+
+    def test_perfect_powers_match_the_residue_filter(self):
+        # p-th powers and their neighbours, odd and even, prime and composite
+        # bases: the same (root, k) as the filtered search through floor roots
+        rng = random.Random(11)
+        inputs = []
+        for p in (2, 3, 5, 7, 11, 13, 31, 61, 127):
+            for bits in (1, 2, 5, 17, 33, 64, 100):
+                base = rng.getrandbits(bits) | (1 << (bits - 1))
+                for k in (p, 2 * p, 3 * p):
+                    n = base**k
+                    inputs += [n - 1, n, n + 1, n << p, n << 1]
+        for n in inputs:
+            if n >= 2:
+                assert arith._as_perfect_power(n, 1) == _as_perfect_power(n, 1), n
+        for n in inputs:
+            if n > 2**40:
+                assert arith._as_perfect_power(n, 19) == _as_perfect_power(n, 19), n
 
     def test_perfect_power_exponents_stop_at_the_trial_primes(self):
         # exponents up to 1000001 would need primes past the sieved 1e6
@@ -472,18 +572,73 @@ class TestIntegerKthRoot:
     @given(st.integers(2**64, 2**900), st.integers(3, 14))
     @settings(max_examples=200, deadline=None)
     def test_long_roots_by_newton(self, m, k):
-        # roots past 64 bits take Newton's iteration, not binary search
+        # roots past 64 bits, which the floor root took by Newton's iteration
         assert integer_kth_root(m**k, k) == m
         assert integer_kth_root(m**k - 1, k) is None
         assert integer_kth_root(m**k + 1, k) is None
 
     def test_floor_property_on_long_roots(self):
+        # the reference floor root brackets n, and the candidate root answers
+        # as it does on n and on the power just below n
         rng = random.Random(3)
         for _ in range(500):
             k = rng.randrange(3, 80)
             n = rng.getrandbits(rng.randrange(64 * k, 64 * k + 3000))
-            root = arith._kth_root_floor(n, k)
+            root = _kth_root_floor(n, k)
             assert root**k <= n < (root + 1) ** k, (n, k)
+            assert integer_kth_root(n, k) == reference_kth_root(n, k), (n, k)
+            assert integer_kth_root(root**k, k) == root, (n, k)
+
+    # exponents from 2 to 10^4: every one up to 40, odd and even, prime and
+    # composite, then powers of two, primes and products of both
+    _EXPONENTS = [*range(2, 41), 60, 64, 97, 127, 128, 210, 243, 256, 1000]
+    _EXPONENTS += [997, 1024, 1875, 4096, 10000]
+
+    @pytest.mark.parametrize("k", _EXPONENTS)
+    def test_matches_reference_at_every_root_length(self, k):
+        # m**k and m**k +- 1 for a root m of every bit length from 1 to 128,
+        # odd at odd lengths and even at even ones; the reference floor root
+        # costs about one k-th power
+        # per bit of the root, so past 2^14 bits the answer is the one the
+        # construction proves: m**k is the k-th power of m, and m**k +- 1 no
+        # k-th power, since (m - 1)**k < m**k - 1 < m**k + 1 < (m + 1)**k
+        rng = random.Random(k)
+        for length in range(1, 129):
+            m = 1 << (length - 1) | rng.getrandbits(length - 1)
+            m = m | 1 if length % 2 else m & -2 or 2
+            n = m**k
+            for value in (n - 1, n, n + 1):
+                if value.bit_length() <= 1 << 14:
+                    expected = reference_kth_root(value, k)
+                else:
+                    expected = m if value == n else None
+                assert integer_kth_root(value, k) == expected, (m, k, value - n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 15, 16, 30, 64])
+    def test_even_n_at_every_two_adic_valuation(self, k):
+        # n = 2^v * a: a root needs k | v, and the odd part a must be a k-th
+        # power itself
+        rng = random.Random(100 + k)
+        odd_parts = [1, 3, 3**k, 5**k * 7**k, (rng.getrandbits(40) | 1) ** k]
+        odd_parts += [3**k + 2, (rng.getrandbits(40) | 1) ** k + 2]
+        for v in range(0, 8 * k + 3):
+            for a in odd_parts:
+                n = a << v
+                assert integer_kth_root(n, k) == reference_kth_root(n, k), (v, a)
+
+    def test_root_of_a_small_base_costs_about_one_power(self):
+        # the binary search over full k-th powers that found a root of up to
+        # 64 bits took 0.63 s here, 16 times one exact power
+        n = 60000**60000
+        powers, roots = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert 60000**60000 == n
+            powers.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            assert integer_kth_root(n, 60000) == 60000
+            roots.append(time.perf_counter() - start)
+        assert min(roots) < 3 * min(powers)
 
     def test_cube_root_of_a_60000_bit_number_is_fast(self):
         n = 1_000_003**2997 * 1_000_033**3

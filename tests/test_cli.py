@@ -1,6 +1,7 @@
 """CLI tests: parsing, golden outputs, exit codes, flags."""
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -674,9 +675,29 @@ class TestExitCodes:
 _F7 = 2**128 + 1
 # past the interpreter's default 4300-digit int/str limit, within the literal cap
 _LONG = "7" * 4400
+
+
+def _residue_filter_passer() -> int:
+    """An odd 65534-bit n = 1 mod the three smallest primes q = 1 (mod 2p) of
+    every prime p <= 10103.  The residue filter that perfect-power detection
+    ran before its root extractions passed n for each of those p, so each
+    cost a full root."""
+
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+    moduli = set()
+    for p in filter(is_prime, range(2, 10104)):
+        residues = filter(is_prime, itertools.count(2 * p + 1, 2 * p))
+        moduli.update(itertools.islice(residues, 3))
+    m = math.prod(moduli)  # 58,135 bits: some q serve two p
+    return 1 + m * (2 ** (65534 - m.bit_length()) + 12346)
+
+
 with _every_digit():
     _LARGEST = str(2**65536 - 1)  # the largest literal, 19729 digits
     _BELOW = str(2**65536 - 2)
+    _FILTER_PASSER = str(_residue_filter_passer())  # 19,728 digits
 _ADVERSARIAL = [
     pytest.param(["solve", "--alpha", "x^200-2", "--verify-both"], 30, id="x^200-2"),
     pytest.param(["solve", "--alpha", "x^20000 - 3"], 30, id="x^20000"),
@@ -735,6 +756,9 @@ _ADVERSARIAL = [
     ),
     pytest.param(["minpoly", f"{_LARGEST}/2"], 10, id="minpoly-at-literal-cap"),
     pytest.param(["minpoly", f"1/{_LARGEST}"], 10, id="minpoly-1/at-literal-cap"),
+    # exits 4 on the bit cap after the perfect-power test of n: 11.5 s when
+    # the residue filter passed n for every prime exponent up to 10103
+    pytest.param(["minpoly", f"{_FILTER_PASSER}/2"], 3, id="minpoly-residue-filter-passer"),
     pytest.param(
         ["powsearch", "--poly", "x", "--a-max", "5", "--b-max", "100000000000"],
         10,

@@ -227,7 +227,7 @@ PINNED = {
     "pairs": "1ed75edd663648ff28d356c1ddb3f636b0d659b5f694bbe5d9669bb86a018107",
     "powcheck": "18229c219fb776af6c6497ee9cfb947e1ffc6ce8eaf9cabf7e375c2504ba2576",
     "powsearch": "013188556d8d24050c682e24d8b22bcac064c63d53435922ce90ee33b78edb13",
-    "solve": "cf50086ef4f3467f8973a8444a3b7a0d4d7f3c9223aa43120699147be5527a4c",
+    "solve": "f173660b0efd0de0608fa2b4e82fce1ea9fb94c80bbcb54e9243b5b46dc60795",
 }
 
 
