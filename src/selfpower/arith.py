@@ -277,32 +277,36 @@ def _rho_brent(n: int, rng: random.Random, budget: list[int]) -> int | None:
 _MAX_COFACTOR_BITS = 1 << 10
 
 
-def _as_perfect_power(n: int, m: int) -> tuple[int, int]:
-    """Largest k with root**k == n, for n >= 2; returns (root, k), k = 1 when
-    n is no perfect power.
+def _as_perfect_power(n: int, m: int, g: int = 0) -> tuple[int, int]:
+    """(root, k) with root**k == n, for n >= 2 and k = gcd(k_n, g), where k_n
+    is the largest k for which n is a perfect k-th power; g = 0 gives k_n.
 
     m is a lower bound the caller knows on every root: root >= 2^m, so
-    n >= 2^(m*p) and only the prime exponents p <= (bit_length(n) - 1) / m
-    can occur.  m = 1 holds for every n; a cofactor that trial division
-    leaves has roots above 1e6 > 2^19, so factorize passes 19.  Each prime
-    exponent costs one integer_kth_root, which rejects almost every n
-    from its low and leading bits before any full-size power.  Exponents run
-    through the trial primes, so n past 1e6 * m bits is refused.
+    n >= 2^(m*p) and only the prime exponents p <= (bit_length(n) - 1) / m,
+    and p | g when g > 0, can occur.  m = 1 holds for every n; a cofactor
+    that trial division leaves has roots above 1e6 > 2^19, so factorize
+    passes 19.  Each prime exponent costs one integer_kth_root, which rejects
+    almost every n from its low and leading bits.  Exponents run through the
+    trial primes; a p | g that is no root exponent is divided out of g, and a
+    bound still past 1e6 is refused (at once for g = 0).
     """
-    max_exponent = (n.bit_length() - 1) // m
+    max_exponent = min((n.bit_length() - 1) // m, g or n)  # g = 0: no bound
+    _sieve_through(min(max_exponent, _TRIAL_LIMIT))
+    for p in _trial_primes:
+        if p > max_exponent or (not g and max_exponent > _TRIAL_LIMIT):
+            break
+        root = None if g % p else integer_kth_root(n, p)  # every p divides 0
+        if root is not None:
+            base, k = _as_perfect_power(root, m, g // p)
+            return base, k * p
+        if g and not g % p:  # p divides no k_n, so gcd(k_n, g) keeps no p
+            g = _remove_prime(g, p)[0]
+            max_exponent = min(max_exponent, g)
     if max_exponent > _TRIAL_LIMIT:
         raise ResourceError(
             f"perfect-power test refused: a {n.bit_length()}-bit integer may "
             f"have prime exponents up to {max_exponent}, past {_TRIAL_LIMIT}"
         )
-    _sieve_through(max_exponent)
-    for p in _trial_primes:
-        if p > max_exponent:
-            break
-        root = integer_kth_root(n, p)
-        if root is not None:
-            base, k = _as_perfect_power(root, m)
-            return base, k * p
     return n, 1
 
 

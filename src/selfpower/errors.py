@@ -52,7 +52,7 @@ class PreconditionError(DomainError):
 
 
 class TargetShapeError(DomainError):
-    """The target polynomial is reducible or not of the shape s*x^d - r."""
+    """The target polynomial is not of the shape s*x^d - r."""
 
 
 class UnsupportedInputError(DomainError):

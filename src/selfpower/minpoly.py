@@ -2,12 +2,12 @@
 
 The minimal polynomial over the integers of (a/b)^(a/b), for coprime positive
 a and b, is always a binomial s*x^d - r; this module constructs it in closed
-form from the perfect-power exponents of a and b (the largest k with
-n = root^k, the gcd of n's prime exponents, found without factoring n),
-recognises the binomial shape in a general integer polynomial, held as its
-nonzero terms so that x^65536 - 3 is two of them, and decides irreducibility
-of positive binomials by the classical prime-power criterion, which factors
-only the degree d.
+form, and reduces any positive binomial v*x^q - u to the minimal polynomial
+v^(1/g)*x^(q/g) - u^(1/g) of its positive root (Capelli's criterion), both
+with g = power_gcd(u, v, q), read off perfect-power exponents, no factoring.
+It recognises the binomial shape in an integer polynomial, held as its
+nonzero terms so that x^65536 - 3 is two of them, and keeps the prime-power
+irreducibility test, which factors the degree d, as a reference.
 """
 
 from __future__ import annotations
@@ -74,12 +74,23 @@ class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
         return super().__new__(cls, s, d, r)
 
 
+def power_gcd(u: int, v: int, q: int) -> int:
+    """gcd(q, k_u, k_v) for u, v, q >= 1, k_n the largest k with n a perfect
+    k-th power (k_1 = 0): the largest g | q with u and v g-th powers.  The
+    smaller operand goes first; the larger is tried only at primes p | g, and
+    only while g fits 64 bits, where g % p is cheap for every trial prime p."""
+    for n in sorted((u, v)):  # q shrinks to g; 1 is a g-th power for every g
+        if n > 1 and q > 1:
+            q = gcd(q, _as_perfect_power(n, 1, 0 if q >> 64 else q)[1])
+    return q
+
+
 def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     """Minimal polynomial of (a/b)^(a/b) over the integers, for coprime a, b >= 1.
 
     With k_n the largest k for which n is a perfect k-th power (the gcd of
-    n's prime exponents) and g = gcd(b, k_a, k_b), the result is
-    s = (b^(1/g))^a, d = b/g, r = (a^(1/g))^a.  g divides k_a and k_b, so
+    n's prime exponents) and g = gcd(b, k_a, k_b) = power_gcd(a, b, b), it
+    is s = (b^(1/g))^a, d = b/g, r = (a^(1/g))^a.  g divides k_a and k_b, so
     both roots are integers; no prime factorization is needed.
     """
     if a < 1 or b < 1:
@@ -88,10 +99,7 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
         raise DomainError(
             f"a and b must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
         )
-    g = b
-    for n in (a, b):  # the input 1 contributes nothing
-        if n > 1 and g > 1:
-            g = gcd(g, _as_perfect_power(n, 1)[1])
+    g = power_gcd(a, b, b)
     bits = (a // g + 1) * (b.bit_length() + a.bit_length())
     check_bit_cap(bits, "minimal polynomial of ({0}/{1})^({0}/{1}) needs", a, b)
     s = integer_kth_root(b, g) ** a

@@ -25,6 +25,7 @@ from .arith import (
     check_bit_cap,
     compare_self_power_to_root,
     factorize,
+    integer_kth_root,
     ln_interval,
     floor_of_multiple_ln,
     powers_equal,
@@ -34,28 +35,25 @@ from .minpoly import (
     BinomialMinPoly,
     IntPolynomial,
     as_binomial,
-    is_irreducible_binomial,
     minimal_polynomial_of_self_power,
+    power_gcd,
 )
 
 
 class AlgebraicTarget(BinomialMinPoly):
     """The right-hand side alpha of x^x = alpha, as its minimal polynomial:
     the irreducible binomial s*x^d - r, whose unique positive real root is
-    alpha = (r/s)^(1/d).  A rational alpha = r/s is the case d = 1.
-    """
+    alpha = (r/s)^(1/d).  A rational alpha = r/s is the case d = 1.  A
+    reducible binomial becomes s^(1/g)*x^(d/g) - r^(1/g), g = power_gcd(r, s, d),
+    with the same root: AlgebraicTarget(1, 2, 4) == (1, 1, 2)."""
 
     __slots__ = ()
 
     def __new__(cls, s: int, d: int, r: int):
-        target = super().__new__(cls, s, d, r)
-        # every binomial of degree 1 is irreducible
-        if d > 1 and not is_irreducible_binomial(target):
-            raise TargetShapeError(
-                f"{number_text(s)}*x^{d} - {number_text(r)} is reducible over "
-                "the rationals"
-            )
-        return target
+        super().__new__(cls, s, d, r)  # checks s, d, r >= 1 and gcd(r, s) = 1
+        g = power_gcd(r, s, d)
+        # roots of the coprime r and s are coprime, so _make skips the check
+        return cls._make((integer_kth_root(s, g), d // g, integer_kth_root(r, g)))
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicTarget":
@@ -237,12 +235,11 @@ def solve_by_divisors(binomial: BinomialMinPoly) -> SolutionSet:
     reconstructed minimal polynomial.
 
     scan_count is the number of candidates covered: the divisors lam > 1 of s,
-    plus every 2 <= b <= bound for each of the tau(k) exponents a.  Only a
-    binomial that is no AlgebraicTarget is checked for irreducibility here.
+    plus every 2 <= b <= bound for each of the tau(k) exponents a.  A binomial
+    that is no AlgebraicTarget is reduced to one first.
     """
     if not isinstance(binomial, AlgebraicTarget):
-        if not is_irreducible_binomial(binomial):
-            raise DomainError("solve_by_divisors requires an irreducible binomial")
+        binomial = AlgebraicTarget.from_binomial(binomial)
     s, d, r = binomial
     if s == 1:
         if d == 1:

@@ -569,9 +569,15 @@ class TestExitCodes:
         _, err = run_cli(capsys, ["pairs", "--m", "10000000"], expect_exit=4)
         assert json.loads(err)["kind"] == "resource"
 
-    def test_reducible_target_is_3(self, capsys):
-        _, err = run_cli(capsys, ["solve", "--alpha", "x^2 - 4"], expect_exit=3)
-        assert json.loads(err)["kind"] == "domain"
+    def test_reducible_target_is_reduced(self, capsys):
+        # x^2 - 4 is answered for its positive root 2, so it exits 0
+        out, _ = run_cli(capsys, ["solve", "--alpha", "x^2 - 4", "--json"])
+        assert json.loads(out) == {
+            "alpha": "2",
+            "method": "enumeration",
+            "scan_count": 2,
+            "solutions": [],
+        }
 
     def test_non_binomial_target_is_3(self, capsys):
         _, err = run_cli(capsys, ["solve", "--alpha", "x^2 + x + 1"], expect_exit=3)

@@ -65,7 +65,7 @@ def _solve() -> list[list[str]]:
                 s, d, r = _minpoly(a, b)
                 alphas += [f"{s}*x^{d} - {r}", f"[-{r}, {', '.join(['0'] * (d - 1))}, {s}]"]
     alphas += [
-        # reducible binomials
+        # reducible binomials, answered for the minimal polynomials of their roots
         "x^2 - 4", "4*x^2 - 9", "x^6 - 8", "27*x^3 - 8", "x^4 - 16",
         # not binomials, or no positive root
         "x^2 + 1", "x^2 + x - 1", "[1, 0, 2]", "x^3 - x", "5", "0", "-3/4",
@@ -227,7 +227,7 @@ PINNED = {
     "pairs": "1ed75edd663648ff28d356c1ddb3f636b0d659b5f694bbe5d9669bb86a018107",
     "powcheck": "18229c219fb776af6c6497ee9cfb947e1ffc6ce8eaf9cabf7e375c2504ba2576",
     "powsearch": "013188556d8d24050c682e24d8b22bcac064c63d53435922ce90ee33b78edb13",
-    "solve": "f173660b0efd0de0608fa2b4e82fce1ea9fb94c80bbcb54e9243b5b46dc60795",
+    "solve": "fe33e9068fb1f16d583ec6363b3305173b2df2f90456f653f4048fc9f2cb2ce1",
 }
 
 

@@ -9,8 +9,9 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from selfpower import arith, minpoly
+from selfpower import arith, minpoly, solver
 from selfpower import (
+    AlgebraicTarget,
     BinomialMinPoly,
     DomainError,
     IntPolynomial,
@@ -209,16 +210,25 @@ class TestAgainstFactorization:
 
         monkeypatch.setattr(arith, "factorize", refuse)
         monkeypatch.setattr(minpoly, "factorize", refuse)
+        monkeypatch.setattr(solver, "factorize", refuse)
         monkeypatch.setattr(arith, "is_prime", small_is_prime)
         f7 = 2**128 + 1
         pairs = _coprime_grid() + list(_seeded_power_pairs())
         pairs += [(1, f7), (f7, 2), (2, f7), (1, 10**3999 + 7)]
         for a, b in pairs:
             try:
-                minimal_polynomial_of_self_power(a, b)
+                binomial = minimal_polynomial_of_self_power(a, b)
             except ResourceError as exc:
                 assert "past the bit cap" in str(exc), (a, b)
+                continue
+            # a target built from a minimal polynomial is that polynomial,
+            # and so is one built from its square, s^2*x^(2d) - r^2
+            s, d, r = binomial
+            assert AlgebraicTarget.from_binomial(binomial) == binomial, (a, b)
+            assert AlgebraicTarget(s * s, 2 * d, r * r) == binomial, (a, b)
         assert minimal_polynomial_of_self_power(1, f7) == BinomialMinPoly(f7, f7, 1)
+        target = AlgebraicTarget.from_binomial(minimal_polynomial_of_self_power(1, f7))
+        assert target == (f7, f7, 1)
 
 
 class TestDenominatorBoundsSoundness:
@@ -289,6 +299,33 @@ class TestIrreducibility:
 
     def test_degree_one_always_irreducible(self):
         assert is_irreducible_binomial(BinomialMinPoly(7, 1, 3)) is True
+
+
+class TestPowerGcd:
+    def test_matches_the_exponent_gcd(self):
+        # gcd(q, k_u, k_v) with k_n the gcd of n's prime exponents (k_1 = 0,
+        # the gcd of none), for q below 2^64 and past it
+        rng = random.Random(2718)
+        for _ in range(600):
+            u = rng.randint(1, 12) ** rng.randint(1, 24)
+            v = rng.randint(1, 12) ** rng.randint(1, 24)
+            q = rng.randint(1, 48) << rng.choice((0, 64))
+            k = [gcd(*(e for _, e in factorize(n))) for n in (u, v)]
+            assert minpoly.power_gcd(u, v, q) == gcd(q, *k), (u, v, q)
+
+    def test_degree_past_the_trial_primes(self):
+        # q = 2^21 allows exponents past the 1e6 trial primes for an integer
+        # of 1,661,954 bits, but only the prime 2 divides q
+        n = 3 ** (2**20)
+        assert minpoly.power_gcd(1, n, 2**21) == 2**20
+        assert minpoly.power_gcd(1, n + 2, 2**21) == 1
+        # a prime q past 1e6 cannot be tried
+        with pytest.raises(ResourceError) as exc:
+            minpoly.power_gcd(1, n + 2, 1_000_003)
+        assert str(exc.value) == (
+            "perfect-power test refused: a 1661954-bit integer may have prime "
+            "exponents up to 1000003, past 1000000"
+        )
 
 
 class TestBinomialValidation:

@@ -15,7 +15,6 @@ from selfpower import (
     Ordering,
     RationalityVerdict,
     SolutionSet,
-    TargetShapeError,
 )
 
 _STATEMENT = "x^x = 2 has an irrational solution in (3/2, 7/4)"
@@ -218,13 +217,6 @@ _INVALID = [
         id="target-gcd",
     ),
     pytest.param(
-        AlgebraicTarget,
-        {"s": 9, "d": 2, "r": 4},
-        TargetShapeError,
-        "9*x^2 - 4 is reducible over the rationals",
-        id="target-reducible",
-    ),
-    pytest.param(
         SolutionSet,
         {"solutions": (Fraction(1), Fraction(2), Fraction(3)), "scan_count": 5},
         AssertionError,
@@ -282,4 +274,13 @@ def test_validation_errors(cls, fields, error, message):
         with pytest.raises(error) as caught:
             cls(*fields.values())
         assert str(caught.value) == message
+
+
+def test_reducible_target_is_built_reduced():
+    # 9x^2 - 4 is no validation error: by keyword and by position the target
+    # is the minimal polynomial 3x - 2 of its positive root 2/3
+    for target in (AlgebraicTarget(s=9, d=2, r=4), AlgebraicTarget(9, 2, 4)):
+        assert type(target) is AlgebraicTarget
+        assert target == (3, 1, 2)
+        assert repr(target) == "AlgebraicTarget(s=3, d=1, r=2)"
 

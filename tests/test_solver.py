@@ -110,31 +110,78 @@ class TestTargetConstruction:
         assert AlgebraicTarget.from_polynomial(poly) == (6561, 9, 256)
 
     def test_reducible_rejected(self):
-        with pytest.raises(TargetShapeError, match=r"1\*x\^2 - 4 is reducible"):
-            target_of(1, 2, 4)
+        # x^2 - 4 is not kept as the target: its positive root is 2
+        target = target_of(1, 2, 4)
+        assert type(target) is AlgebraicTarget
+        assert target == (1, 1, 2) == AlgebraicTarget.from_rational(2)
 
     @pytest.mark.parametrize(
-        "build",
+        "build, reduced",
         [
-            lambda: AlgebraicTarget(1, 2, 4),
-            lambda: AlgebraicTarget(s=9, d=4, r=4),
-            lambda: AlgebraicTarget.from_binomial(BinomialMinPoly(8, 3, 27)),
-            lambda: AlgebraicTarget.from_polynomial(dense((-4, 0, 1))),
-            lambda: AlgebraicTarget.from_polynomial(dense((4, 0, -9))),
+            (lambda: AlgebraicTarget(1, 2, 4), (1, 1, 2)),
+            (lambda: AlgebraicTarget(s=9, d=4, r=4), (3, 2, 2)),
+            (lambda: AlgebraicTarget.from_binomial(BinomialMinPoly(8, 3, 27)), (2, 1, 3)),
+            (lambda: AlgebraicTarget.from_polynomial(dense((-4, 0, 1))), (1, 1, 2)),
+            (lambda: AlgebraicTarget.from_polynomial(dense((4, 0, -9))), (3, 1, 2)),
         ],
         ids=["positional", "keyword", "from_binomial", "from_polynomial", "negated"],
     )
-    def test_every_constructor_refuses_reducible_binomials(self, build):
-        with pytest.raises(TargetShapeError, match="is reducible over the rationals"):
-            build()
+    def test_every_constructor_refuses_reducible_binomials(self, build, reduced):
+        # no constructor keeps a reducible binomial: each builds the minimal
+        # polynomial of its positive root
+        target = build()
+        assert type(target) is AlgebraicTarget
+        assert target == reduced
+        assert is_irreducible_binomial(target)
 
     def test_reducible_message_skips_huge_decimals(self):
-        # s has ~9500 decimal digits, past the interpreter's int-to-str limit
-        with pytest.raises(TargetShapeError) as exc:
-            target_of(3**20000, 2, 1)
-        assert str(exc.value) == (
-            "<31700-bit integer>*x^2 - 1 is reducible over the rationals"
-        )
+        # s has ~9500 decimal digits, past the interpreter's int-to-str limit;
+        # the reduction is decided and taken without writing any of them
+        assert target_of(3**20000, 2, 1) == (3**10000, 1, 1)
+
+    def test_reduction_against_the_irreducibility_test(self):
+        # seeded binomials whose coefficients are often powers: the target is
+        # the binomial itself exactly when is_irreducible_binomial says so,
+        # it is always irreducible, and it has the same positive root:
+        # d = g*d', r = r'^g and s = s'^g, decided by exact power tests
+        rng = random.Random(577215)
+        reduced = kept = 0
+        for _ in range(6000):
+            s = rng.randint(1, 30) ** rng.randint(1, 12)
+            r = rng.randint(1, 30) ** rng.randint(1, 12)
+            d = rng.randint(1, 36)
+            if gcd(r, s) != 1:
+                continue
+            binomial = BinomialMinPoly(s, d, r)
+            target = AlgebraicTarget.from_binomial(binomial)
+            assert (target == binomial) is is_irreducible_binomial(binomial), binomial
+            assert is_irreducible_binomial(target), binomial
+            g, remainder = divmod(d, target.d)
+            assert remainder == 0, binomial
+            assert powers_equal(target.r, g, r, 1), binomial
+            assert powers_equal(target.s, g, s, 1), binomial
+            reduced += g > 1
+            kept += g == 1
+        # both outcomes occur often
+        assert reduced > 600 and kept > 600, (reduced, kept)
+
+    def test_planted_reducible_targets_keep_their_solutions(self):
+        # s^g*x^(g*d) - r^g has the positive root of s*x^d - r, the minimal
+        # polynomial of a self-power (a/b)^(a/b): both procedures find a/b,
+        # and every solution is exact against the unreduced binomial
+        for a in range(1, 25):
+            for b in range(1, 25):
+                if gcd(a, b) != 1:
+                    continue
+                s, d, r = minimal_polynomial_of_self_power(a, b)
+                for g in (2, 3, 5):
+                    target = target_of(s**g, g * d, r**g)
+                    assert target == (s, d, r), (a, b, g)
+                    result = solve(target, cross_check=True)
+                    assert Fraction(a, b) in result.solutions, (a, b, g)
+                    for x in result.solutions:
+                        order = compare_self_power_to_root(x, g * d, r**g, s**g)
+                        assert order is Ordering.EQUAL, (a, b, g, x)
 
     def test_non_binomial_rejected(self):
         with pytest.raises(TargetShapeError):
@@ -173,20 +220,23 @@ class TestTargetConstruction:
         assert (s, d, r) == (4, 1, 3)
 
     def test_irreducibility_is_decided_once_per_target(self, monkeypatch):
+        # power_gcd decides the reduction once per target, and never again
+        # while the target is solved
         calls = []
-        decide = solver_module.is_irreducible_binomial
+        decide = solver_module.power_gcd
         monkeypatch.setattr(
             solver_module,
-            "is_irreducible_binomial",
-            lambda binomial: calls.append(binomial) or decide(binomial),
+            "power_gcd",
+            lambda u, v, q: calls.append((u, v, q)) or decide(u, v, q),
         )
         solve(target_of(6561, 9, 256), cross_check=True)
-        assert calls == [(6561, 9, 256)]
-        # a plain binomial is still checked by the divisor procedure
+        assert calls == [(256, 6561, 9)]
+        # a plain binomial is reduced by the divisor procedure
         solve_by_divisors(BinomialMinPoly(6561, 9, 256))
         assert len(calls) == 2
-        with pytest.raises(DomainError, match="requires an irreducible binomial"):
-            solve_by_divisors(BinomialMinPoly(1, 2, 4))
+        rational = AlgebraicTarget.from_rational(2)
+        assert solve_by_divisors(BinomialMinPoly(1, 2, 4)) == solve(rational)
+        assert calls[2:] == [(4, 1, 2)]
 
 
 class TestIntegerScan:
@@ -268,8 +318,16 @@ class TestSolveByDivisors:
         assert solve_by_divisors(BinomialMinPoly(1, 1, 2)).solutions == ()
 
     def test_reducible_rejected(self):
-        with pytest.raises(DomainError):
-            solve_by_divisors(BinomialMinPoly(1, 2, 4))
+        # a reducible binomial is answered for its positive root: 4x^4 - 1
+        # has that of 2x^2 - 1, and x^2 - 4 the root 2
+        assert solve_by_divisors(BinomialMinPoly(4, 4, 1)) == solve_by_divisors(
+            BinomialMinPoly(2, 2, 1)
+        )
+        assert solve_by_divisors(BinomialMinPoly(4, 4, 1)).solutions == (
+            Fraction(1, 4),
+            Fraction(1, 2),
+        )
+        assert solve_by_divisors(BinomialMinPoly(1, 2, 4)).solutions == ()
 
     def test_scan_count_in_closed_form(self):
         # s = 6561 = 3^8: 8 divisors lam > 1, tau(8) = 4 exponents, bound 79
