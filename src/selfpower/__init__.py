@@ -36,9 +36,9 @@ _HOME = {
     "SelfPowerError": "errors",
     "TargetShapeError": "errors",
     "UnsupportedInputError": "errors",
+    "AlgebraicTarget": "minpoly",
     "BinomialMinPoly": "minpoly",
     "IntPolynomial": "minpoly",
-    "as_binomial": "minpoly",
     "is_irreducible_binomial": "minpoly",
     "minimal_polynomial_of_self_power": "minpoly",
     "RationalityVerdict": "polypower",
@@ -48,7 +48,6 @@ _HOME = {
     "leading_denominator_bound": "polypower",
     "rational_power": "polypower",
     "zero_exponent_denominator_bound": "polypower",
-    "AlgebraicTarget": "solver",
     "SolutionSet": "solver",
     "commuting_pair": "solver",
     "denominator_bound": "solver",

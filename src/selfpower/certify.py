@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from .arith import Ordering, compare_self_power_to_rational
 from .errors import DomainError, ResourceError, UnsupportedInputError, number_text
-from .solver import AlgebraicTarget, integer_scan
+from .minpoly import BinomialMinPoly, _checked_make
+from .solver import integer_scan
 
 #: Width of the isolating interval classify_preimage returns by default.
 DEFAULT_WIDTH = Fraction(1, 10**9)
@@ -44,6 +45,7 @@ class Certificate(namedtuple("Certificate", "q integer_scan_trace interval state
     """Exact evidence that the real solution of x^x = q is transcendental."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(
         cls,
@@ -145,7 +147,7 @@ def classify_preimage(q, width=DEFAULT_WIDTH) -> int | Certificate:
         raise UnsupportedInputError(
             f"classification covers q > 1 only, got {number_text(q)}"
         )
-    found, scanned = integer_scan(AlgebraicTarget.from_rational(q))
+    found, scanned = integer_scan(BinomialMinPoly.from_rational(q))
     if found is not None:
         return found
     lo, hi = _bisect(q, width, scanned)

@@ -331,18 +331,18 @@ def _format_binomial(binomial: BinomialMinPoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_alpha(text: str) -> AlgebraicTarget:
+def _parse_alpha(text: str) -> BinomialMinPoly:
     cleaned = _normalize_minus(text).strip()
     rational = _RATIONAL_RE.fullmatch(cleaned)
     alpha = parse_rational(cleaned) if rational else parse_polynomial(cleaned)
-    from .solver import AlgebraicTarget
+    from .minpoly import BinomialMinPoly
 
     if rational:
-        return AlgebraicTarget.from_rational(alpha)
-    return AlgebraicTarget.from_polynomial(alpha)
+        return BinomialMinPoly.from_rational(alpha)
+    return BinomialMinPoly.from_polynomial(alpha)
 
 
-def _describe_target(target: AlgebraicTarget) -> str:
+def _describe_target(target: BinomialMinPoly) -> str:
     if target.d == 1:
         return format_fraction(Fraction(target.r, target.s))
     return f"positive root of {_format_binomial(target)}"

@@ -1,22 +1,26 @@
-"""Minimal polynomials of self-powers (a/b)^(a/b), and binomial shape checks.
+"""Minimal polynomials of self-powers (a/b)^(a/b), and the one record of alpha.
 
 The minimal polynomial over the integers of (a/b)^(a/b), for coprime positive
-a and b, is always a binomial s*x^d - r; this module constructs it in closed
-form, and reduces any positive binomial v*x^q - u to the minimal polynomial
-v^(1/g)*x^(q/g) - u^(1/g) of its positive root (Capelli's criterion), both
-with g = power_gcd(u, v, q), read off perfect-power exponents, no factoring.
-It recognises the binomial shape in an integer polynomial, held as its
-nonzero terms so that x^65536 - 3 is two of them, and keeps the prime-power
-irreducibility test, which factors the degree d, as a reference.
+a and b, is always a binomial s*x^d - r, constructed here in closed form.
+BinomialMinPoly, also named AlgebraicTarget, holds it and reduces any positive
+binomial v*x^q - u it is built from to the minimal polynomial
+v^(1/g)*x^(q/g) - u^(1/g) of its positive root (Capelli's criterion).  Both
+use g = power_gcd(u, v, q), read off perfect-power exponents, no factoring.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd
 
 from .arith import _as_perfect_power, check_bit_cap, factorize, integer_kth_root
-from .errors import DomainError, number_text
+from .errors import DomainError, TargetShapeError, number_text
+
+
+def _checked_make(cls, fields):
+    """A record's _make, and so _replace, through its constructor's checks."""
+    return cls(*fields)
 
 
 class IntPolynomial(namedtuple("IntPolynomial", "terms")):
@@ -24,6 +28,7 @@ class IntPolynomial(namedtuple("IntPolynomial", "terms")):
     degrees strictly decreasing, so terms[0] is the leading term."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, terms: tuple[tuple[int, int], ...]):
         if not terms:
@@ -55,13 +60,14 @@ class IntPolynomial(namedtuple("IntPolynomial", "terms")):
 
 
 class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
-    """The binomial s*x^d - r with s, d, r >= 1 and gcd(r, s) = 1.
-
-    This is the only minimal-polynomial shape that admits rational solutions
-    of x^x = alpha; its unique positive real root is (r/s)^(1/d).
-    """
+    """The minimal polynomial s*x^d - r, s, d, r >= 1 and gcd(r, s) = 1, of
+    alpha = (r/s)^(1/d), the only shape that admits rational solutions of
+    x^x = alpha; d = 1 is a rational alpha.  A reducible binomial is built as
+    s^(1/g)*x^(d/g) - r^(1/g), g = power_gcd(r, s, d), which has the same
+    positive root: BinomialMinPoly(4, 2, 9) == (2, 1, 3)."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, s: int, d: int, r: int):
         if s < 1 or d < 1 or r < 1:
@@ -71,7 +77,40 @@ class BinomialMinPoly(namedtuple("BinomialMinPoly", "s d r")):
                 f"gcd(r, s) must be 1, got gcd({number_text(r)}, "
                 f"{number_text(s)})"
             )
-        return super().__new__(cls, s, d, r)
+        g = power_gcd(r, s, d)
+        # g-th roots of the coprime r and s are coprime and reduce no further
+        s, r = integer_kth_root(s, g), integer_kth_root(r, g)
+        return tuple.__new__(cls, (s, d // g, r))
+
+    @classmethod
+    def from_rational(cls, q) -> "BinomialMinPoly":
+        q = Fraction(q)
+        if q <= 0:
+            raise DomainError(f"alpha must be positive, got {number_text(q)}")
+        # a reduced fraction is already the minimal polynomial s*x - r
+        return tuple.__new__(cls, (q.denominator, 1, q.numerator))
+
+    @classmethod
+    def from_binomial(cls, binomial: tuple[int, int, int]) -> "BinomialMinPoly":
+        return binomial if isinstance(binomial, cls) else cls._make(binomial)
+
+    @classmethod
+    def from_polynomial(cls, poly: IntPolynomial) -> "BinomialMinPoly":
+        # c*(s*x^d - r) for an integer c != 0 has the roots of s*x^d - r, as
+        # the text of a rational is reduced; a constant has no root at all
+        if len(poly.terms) == 2:
+            (d, s), (k, c) = poly.terms
+            if not k and (s > 0) != (c > 0):  # outer terms of opposite signs
+                content = gcd(s, c)
+                return cls(abs(s) // content, d, abs(c) // content)
+        raise TargetShapeError(
+            "alpha must be the positive root of a binomial s*x^d - r with "
+            "r, s >= 1; other polynomial shapes are not supported"
+        )
+
+
+#: The right-hand side alpha of x^x = alpha is its minimal polynomial.
+AlgebraicTarget = BinomialMinPoly
 
 
 def power_gcd(u: int, v: int, q: int) -> int:
@@ -105,43 +144,23 @@ def minimal_polynomial_of_self_power(a: int, b: int) -> BinomialMinPoly:
     s = integer_kth_root(b, g) ** a
     r = integer_kth_root(a, g) ** a
     # r and s are powers of the coprime a and b, so gcd(r, s) = 1 holds
-    # already; _make skips the constructor's check, whose gcd of the two
-    # powers costs more than computing them
-    return BinomialMinPoly._make((s, b // g, r))
+    # already, and g leaves no reduction: the record skips the constructor,
+    # whose gcd of the two powers costs more than computing them
+    return tuple.__new__(BinomialMinPoly, (s, b // g, r))
 
 
-def as_binomial(poly: IntPolynomial) -> BinomialMinPoly | None:
-    """Recognise s*x^d - r in a non-constant integer polynomial.
-
-    The sign is normalised so the leading coefficient is positive; the content
-    must be 1 (a non-primitive polynomial is never minimal) and P must have
-    exactly two terms, the lower at degree 0.  Returns None when the shape
-    does not match.
-    """
-    if poly.degree < 1:
-        raise DomainError("as_binomial requires a non-constant polynomial")
-    if len(poly.terms) != 2:
-        return None
-    (d, s), (k, c) = poly.terms
-    # with no middle term the content is that of the two outer ones; s*x^d - r
-    # with s, r >= 1 has outer coefficients of opposite signs
-    if k or gcd(s, c) != 1 or (s > 0) == (c > 0):
-        return None
-    return BinomialMinPoly(s=abs(s), d=d, r=abs(c))
-
-
-def is_irreducible_binomial(binomial: BinomialMinPoly) -> bool:
-    """Irreducibility of s*x^d - r over the rationals.
+def is_irreducible_binomial(binomial: tuple[int, int, int]) -> bool:
+    """Irreducibility of s*x^d - r over the rationals, for any positive
+    (s, d, r); every BinomialMinPoly is.  It stays only because the
+    benchmark's tracer wraps it (ROADMAP item 1a).
 
     The classical criterion for x^d - c: reducible exactly when c is a p-th
     power for some prime p dividing d, or when 4 | d and c = -4*h^4.  Here
     c = r/s > 0, so the second case cannot arise, and c is a p-th power
     exactly when both r and s are.
     """
-    for p, _ in factorize(binomial.d):
-        if (
-            integer_kth_root(binomial.r, p) is not None
-            and integer_kth_root(binomial.s, p) is not None
-        ):
+    s, d, r = binomial
+    for p, _ in factorize(d):
+        if integer_kth_root(r, p) is not None and integer_kth_root(s, p) is not None:
             return False
     return True

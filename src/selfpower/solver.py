@@ -6,7 +6,8 @@ divisor procedure works backwards from the binomial minimal polynomial
 s*x^d - r: any solution a/b forces s = lam^a and b^d = lam^b for a common base
 lam dividing s.  With s = base^k, k the gcd of the prime exponents of s, that
 leaves a | k and b = base^j, a handful of candidates.  Both return the same
-set; `solve` can cross-check them.
+set; `solve` can cross-check them.  Both take alpha as the record
+`minpoly.BinomialMinPoly`, reduced when it was built, never here.
 
 The module also generates and verifies the classical two-parameter families:
 the pairs x = (m/(m+1))^m, y = (m/(m+1))^(m+1) solving x^x = y^y, and their
@@ -25,68 +26,19 @@ from .arith import (
     check_bit_cap,
     compare_self_power_to_root,
     factorize,
-    integer_kth_root,
     ln_interval,
     floor_of_multiple_ln,
     powers_equal,
 )
-from .errors import DomainError, TargetShapeError, number_text
-from .minpoly import (
-    BinomialMinPoly,
-    IntPolynomial,
-    as_binomial,
-    minimal_polynomial_of_self_power,
-    power_gcd,
-)
-
-
-class AlgebraicTarget(BinomialMinPoly):
-    """The right-hand side alpha of x^x = alpha, as its minimal polynomial:
-    the irreducible binomial s*x^d - r, whose unique positive real root is
-    alpha = (r/s)^(1/d).  A rational alpha = r/s is the case d = 1.  A
-    reducible binomial becomes s^(1/g)*x^(d/g) - r^(1/g), g = power_gcd(r, s, d),
-    with the same root: AlgebraicTarget(1, 2, 4) == (1, 1, 2)."""
-
-    __slots__ = ()
-
-    def __new__(cls, s: int, d: int, r: int):
-        super().__new__(cls, s, d, r)  # checks s, d, r >= 1 and gcd(r, s) = 1
-        g = power_gcd(r, s, d)
-        # roots of the coprime r and s are coprime, so _make skips the check
-        return cls._make((integer_kth_root(s, g), d // g, integer_kth_root(r, g)))
-
-    @classmethod
-    def from_rational(cls, q) -> "AlgebraicTarget":
-        q = Fraction(q)
-        if q <= 0:
-            raise DomainError(f"alpha must be positive, got {number_text(q)}")
-        # a reduced fraction is already a valid binomial s*x - r
-        return cls._make((q.denominator, 1, q.numerator))
-
-    @classmethod
-    def from_binomial(cls, binomial: BinomialMinPoly) -> "AlgebraicTarget":
-        return cls(*binomial)
-
-    @classmethod
-    def from_polynomial(cls, poly: IntPolynomial) -> "AlgebraicTarget":
-        # c*P and P share their roots: divide out the content, as the text of
-        # a rational is reduced; a constant P has no root at all
-        content = gcd(*(c for _, c in poly.terms))
-        if content > 1:
-            poly = IntPolynomial(tuple((k, c // content) for k, c in poly.terms))
-        binomial = as_binomial(poly) if poly.degree else None
-        if binomial is None:
-            raise TargetShapeError(
-                "alpha must be the positive root of a binomial s*x^d - r with "
-                "r, s >= 1; other polynomial shapes are not supported"
-            )
-        return cls.from_binomial(binomial)
+from .errors import DomainError
+from .minpoly import BinomialMinPoly, _checked_make, minimal_polynomial_of_self_power
 
 
 class SolutionSet(namedtuple("SolutionSet", "solutions scan_count")):
     """All positive rational solutions (at most two), plus the test count."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, solutions: tuple[Fraction, ...], scan_count: int):
         if len(solutions) > 2:
@@ -99,7 +51,7 @@ class SolutionSet(namedtuple("SolutionSet", "solutions scan_count")):
         return super().__new__(cls, solutions, scan_count)
 
 
-def integer_scan(target: AlgebraicTarget) -> tuple[int | None, int]:
+def integer_scan(target: BinomialMinPoly) -> tuple[int | None, int]:
     """Scan n = 1, 2, ... until n^n >= alpha, each step an exact comparison.
 
     Returns (n, N) when n^n = alpha exactly, else (None, N), with N the number
@@ -143,7 +95,7 @@ def denominator_bound(d: int) -> int:
     return floor_of_multiple_ln(4 * d, d)
 
 
-def solve_enumerative(target: AlgebraicTarget) -> SolutionSet:
+def solve_enumerative(target: BinomialMinPoly) -> SolutionSet:
     """All solutions by exhaustive exact testing.
 
     Integer scan first; when alpha has degree d > 1, every reduced a/b with
@@ -235,19 +187,13 @@ def solve_by_divisors(binomial: BinomialMinPoly) -> SolutionSet:
     reconstructed minimal polynomial.
 
     scan_count is the number of candidates covered: the divisors lam > 1 of s,
-    plus every 2 <= b <= bound for each of the tau(k) exponents a.  A binomial
-    that is no AlgebraicTarget is reduced to one first.
+    plus every 2 <= b <= bound for each of the tau(k) exponents a.  A rational
+    alpha (d = 1) has only integer solutions: the integer scan finds them.
+    s = 1 and d > 1 leaves k = 0, no exponents and, rightly, no solutions.
     """
-    if not isinstance(binomial, AlgebraicTarget):
-        binomial = AlgebraicTarget.from_binomial(binomial)
     s, d, r = binomial
-    if s == 1:
-        if d == 1:
-            # alpha = r is a positive integer; only integer solutions exist
-            return solve_enumerative(AlgebraicTarget.from_rational(r))
-        # alpha is an algebraic integer of degree >= 2: solutions would be
-        # integers, whose self-powers have degree 1
-        return SolutionSet((), 0)
+    if d == 1:
+        return solve_enumerative(binomial)
     s_factors = factorize(s)
     k = 0
     n_divisors = 1
@@ -282,7 +228,7 @@ def _divisors(n: int) -> list[int]:
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
-def solve(target: AlgebraicTarget, cross_check: bool = False) -> SolutionSet:
+def solve(target: BinomialMinPoly, cross_check: bool = False) -> SolutionSet:
     """Solve x^x = alpha: enumeration when alpha is rational (d = 1), the
     divisor procedure otherwise; cross_check runs both and insists they agree."""
     if target.d == 1:

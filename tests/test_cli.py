@@ -967,7 +967,8 @@ def test_binomial_text_is_the_polynomial_text():
         for d in (1, 2, 9, 40):
             for r in (1, 3, 256):
                 if math.gcd(r, s) == 1:
-                    binomial = BinomialMinPoly(s, d, r)
+                    # a plain triple: a record would reduce x^2 - 1 to x - 1
+                    binomial = (s, d, r)
                     dense = IntPolynomial.from_coefficients((-r, *[0] * (d - 1), s))
                     expected = format_polynomial(dense)
                     assert _format_binomial(binomial) == expected

@@ -75,7 +75,7 @@ def test_guards_survive_optimized_mode():
         "s.compare_self_power_to_root = lambda x, d, r, t: "
         "s.Ordering.LESS if x < 10 else s.Ordering.GREATER\n"
         "try:\n"
-        "    s.integer_scan(s.AlgebraicTarget.from_rational(2))\n"
+        "    s.integer_scan(s.BinomialMinPoly.from_rational(2))\n"
         "except AssertionError as exc:\n"
         "    print('raised' if 'proven bound' in str(exc) else exc)\n"
     )

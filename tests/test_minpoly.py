@@ -17,7 +17,7 @@ from selfpower import (
     IntPolynomial,
     Ordering,
     ResourceError,
-    as_binomial,
+    TargetShapeError,
     compare_self_power_to_root,
     factorize,
     is_irreducible_binomial,
@@ -251,29 +251,37 @@ class TestDenominatorBoundsSoundness:
 
 
 class TestAsBinomial:
+    """Recognising s*x^d - r in an integer polynomial, by the rules that
+    BinomialMinPoly.from_polynomial took over from as_binomial."""
+
     def test_examples(self):
         p = dense((-1, 0, 2))
-        assert as_binomial(p) == BinomialMinPoly(s=2, d=2, r=1)
-        assert as_binomial(dense((1, 0, 1))) is None  # x^2 + 1
-        assert as_binomial(dense((-2, 0, 4))) is None  # content 2
+        assert BinomialMinPoly.from_polynomial(p) == BinomialMinPoly(s=2, d=2, r=1)
+        # x^2 + 1 has no positive root
+        with pytest.raises(TargetShapeError, match="other polynomial shapes"):
+            BinomialMinPoly.from_polynomial(dense((1, 0, 1)))
+        # content 2: 4x^2 - 2 has the roots of 2x^2 - 1
+        assert BinomialMinPoly.from_polynomial(dense((-2, 0, 4))) == (2, 2, 1)
 
     def test_sign_normalisation(self):
-        assert as_binomial(dense((1, 0, -2))) == BinomialMinPoly(2, 2, 1)
+        assert BinomialMinPoly.from_polynomial(dense((1, 0, -2))) == (2, 2, 1)
 
     def test_middle_coefficients(self):
-        assert as_binomial(dense((-1, 1, 2))) is None
+        with pytest.raises(TargetShapeError, match="other polynomial shapes"):
+            BinomialMinPoly.from_polynomial(dense((-1, 1, 2)))
 
     def test_zero_constant(self):
-        assert as_binomial(dense((0, 2))) is None
+        with pytest.raises(TargetShapeError, match="other polynomial shapes"):
+            BinomialMinPoly.from_polynomial(dense((0, 2)))
 
     def test_constant_rejected(self):
-        with pytest.raises(DomainError):
-            as_binomial(dense((5,)))
+        with pytest.raises(TargetShapeError, match="other polynomial shapes"):
+            BinomialMinPoly.from_polynomial(dense((5,)))
 
     def test_round_trip_with_minpoly(self):
         binomial = minimal_polynomial_of_self_power(3, 4)
         poly = dense((-binomial.r, *[0] * (binomial.d - 1), binomial.s))
-        assert as_binomial(poly) == binomial
+        assert BinomialMinPoly.from_polynomial(poly) == binomial
         assert poly.terms == ((binomial.d, binomial.s), (0, -binomial.r))
 
 
@@ -289,16 +297,20 @@ class TestIrreducibility:
         ],
     )
     def test_examples(self, s, d, r, expected):
-        assert is_irreducible_binomial(BinomialMinPoly(s, d, r)) is expected
+        # a plain triple: a BinomialMinPoly is irreducible by construction
+        assert is_irreducible_binomial((s, d, r)) is expected
+        assert is_irreducible_binomial(BinomialMinPoly(s, d, r))
+        assert (BinomialMinPoly(s, d, r) == (s, d, r)) is expected
 
     def test_both_sides_must_be_powers(self):
         # 4x^2 - 9 has rational root 3/2: both 4 and 9 are squares
-        assert is_irreducible_binomial(BinomialMinPoly(4, 2, 9)) is False
+        assert is_irreducible_binomial((4, 2, 9)) is False
+        assert BinomialMinPoly(4, 2, 9) == (2, 1, 3)
         # 4x^2 - 5: 5 is not a square
-        assert is_irreducible_binomial(BinomialMinPoly(4, 2, 5)) is True
+        assert is_irreducible_binomial((4, 2, 5)) is True
 
     def test_degree_one_always_irreducible(self):
-        assert is_irreducible_binomial(BinomialMinPoly(7, 1, 3)) is True
+        assert is_irreducible_binomial((7, 1, 3)) is True
 
 
 class TestPowerGcd:

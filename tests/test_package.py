@@ -1,10 +1,13 @@
 """The package namespace: each public name imports its home module on first
 access and is then an ordinary attribute of the package."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,30 @@ def test_import_loads_a_module_only_when_a_name_needs_it():
     assert proc.returncode == 0, proc.stderr
     solver = ["selfpower.arith", "selfpower.errors", "selfpower.minpoly", "selfpower.solver"]
     assert proc.stdout.strip() == repr((True, [], solver, True))
+
+
+def test_readme_library_example_runs_and_states_its_values():
+    # README's python block runs as written; each bare expression's value is
+    # the one its comment states
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    values = []
+    for statement in ast.parse(blocks[0]).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    solutions, rational, interval = values
+    assert namespace["binomial"] == (6561, 9, 256)
+    assert namespace["target"] is namespace["binomial"]
+    assert solutions == (Fraction(8, 27), Fraction(4, 9))
+    assert rational == (2, 1, 3)
+    lo, hi = interval
+    assert 0 < hi - lo <= Fraction(1, 10**9)
+    # the exact bracket of x^x = 2
+    compare = selfpower.compare_self_power_to_rational
+    assert compare(lo, Fraction(2)) is selfpower.Ordering.LESS
+    assert compare(hi, Fraction(2)) is selfpower.Ordering.GREATER

@@ -1,7 +1,10 @@
-"""The public behaviour of the six result records: construction by keyword and
-by position, repr text, equality and hashing, immutability, and the type and
-message of every validation error."""
+"""The public behaviour of the five result records (AlgebraicTarget is
+BinomialMinPoly): construction by keyword and by position, repr text,
+equality and hashing, immutability, and the type and message of every
+validation error, however the record is built."""
 
+import copy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from selfpower import (
     Ordering,
     RationalityVerdict,
     SolutionSet,
+    solve,
 )
 
 _STATEMENT = "x^x = 2 has an irrational solution in (3/2, 7/4)"
@@ -33,17 +37,18 @@ _RECORDS = [
         "BinomialMinPoly(s=6561, d=9, r=256)",
         id="BinomialMinPoly",
     ),
-    # a rational value alpha = r/s is the target of degree d = 1
+    # a target is its minimal polynomial, the same record; a rational value
+    # alpha = r/s is the target of degree d = 1
     pytest.param(
         AlgebraicTarget,
         {"s": 2, "d": 1, "r": 3},
-        "AlgebraicTarget(s=2, d=1, r=3)",
+        "BinomialMinPoly(s=2, d=1, r=3)",
         id="AlgebraicTarget-value",
     ),
     pytest.param(
         AlgebraicTarget,
         {"s": 6561, "d": 9, "r": 256},
-        "AlgebraicTarget(s=6561, d=9, r=256)",
+        "BinomialMinPoly(s=6561, d=9, r=256)",
         id="AlgebraicTarget-root",
     ),
     pytest.param(
@@ -276,11 +281,41 @@ def test_validation_errors(cls, fields, error, message):
         assert str(caught.value) == message
 
 
+#: the fields of a valid record of each class
+_VALID = {param.values[0]: param.values[1] for param in _RECORDS}
+
+
+@pytest.mark.parametrize("cls, fields, error, message", _INVALID)
+def test_replace_goes_through_the_checks(cls, fields, error, message):
+    # _replace, _make and copy.replace build no record around its checks
+    record = cls(**_VALID[cls])
+    builds = [lambda: record._replace(**fields), lambda: cls._make(fields.values())]
+    if sys.version_info >= (3, 13):
+        builds.append(lambda: copy.replace(record, **fields))
+    for build in builds:
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
 def test_reducible_target_is_built_reduced():
-    # 9x^2 - 4 is no validation error: by keyword and by position the target
-    # is the minimal polynomial 3x - 2 of its positive root 2/3
-    for target in (AlgebraicTarget(s=9, d=2, r=4), AlgebraicTarget(9, 2, 4)):
-        assert type(target) is AlgebraicTarget
+    # 9x^2 - 4 is no validation error: by keyword, by position and through
+    # _make the target is the minimal polynomial 3x - 2 of its root 2/3
+    for target in (
+        AlgebraicTarget(s=9, d=2, r=4),
+        AlgebraicTarget(9, 2, 4),
+        AlgebraicTarget._make((9, 2, 4)),
+    ):
+        assert type(target) is AlgebraicTarget is BinomialMinPoly
         assert target == (3, 1, 2)
-        assert repr(target) == "AlgebraicTarget(s=3, d=1, r=2)"
+        assert repr(target) == "BinomialMinPoly(s=3, d=1, r=2)"
+
+
+def test_replace_reduces_the_target():
+    # 4x^4 - 1 has the positive root of 2x^2 - 1; a replaced field must not
+    # leave the reducible binomial for the divisor procedure to miss 1/4, 1/2
+    target = AlgebraicTarget(2, 2, 1)._replace(s=4, d=4)
+    assert target == (2, 2, 1)
+    assert solve(target, cross_check=True).solutions == (Fraction(1, 4), Fraction(1, 2))
 

@@ -33,6 +33,7 @@ from selfpower import (
     verify_commuting,
     verify_equal_self_powers,
 )
+from selfpower import minpoly
 from selfpower import solver as solver_module
 from selfpower.cli import _MAX_DEGREE
 
@@ -57,10 +58,11 @@ def _divisor_exponent(vec, factors):
 def reference_solve_by_divisors(binomial):
     """The divisor procedure before the closed form: every divisor vector lam of
     s, the exponent a with lam^a = s read off per prime, and b^d = lam^b tested
-    exactly for every b up to the bound."""
+    exactly for every b up to the bound.  A rational alpha (d = 1) has only
+    integer solutions, found by the integer scan."""
     s, d, r = binomial.s, binomial.d, binomial.r
-    if s == 1:
-        return solve_by_divisors(binomial)
+    if d == 1:
+        return solve_enumerative(binomial)
     s_factors = factorize(s)
     bound = denominator_bound(d)
     tested = 0
@@ -152,8 +154,8 @@ class TestTargetConstruction:
             d = rng.randint(1, 36)
             if gcd(r, s) != 1:
                 continue
-            binomial = BinomialMinPoly(s, d, r)
-            target = AlgebraicTarget.from_binomial(binomial)
+            binomial = (s, d, r)
+            target = BinomialMinPoly(s, d, r)
             assert (target == binomial) is is_irreducible_binomial(binomial), binomial
             assert is_irreducible_binomial(target), binomial
             g, remainder = divmod(d, target.d)
@@ -188,8 +190,7 @@ class TestTargetConstruction:
             AlgebraicTarget.from_polynomial(dense((1, 1, 1)))
 
     def test_constant_rejected_as_every_other_shape(self):
-        # a constant P has no root; it is refused with the non-binomial text,
-        # not with as_binomial's refusal of a constant argument
+        # a constant P has no root; it is refused with the non-binomial text
         with pytest.raises(TargetShapeError) as exc:
             AlgebraicTarget.from_polynomial(dense((1, 1, 1)))
         shape = str(exc.value)
@@ -220,23 +221,27 @@ class TestTargetConstruction:
         assert (s, d, r) == (4, 1, 3)
 
     def test_irreducibility_is_decided_once_per_target(self, monkeypatch):
-        # power_gcd decides the reduction once per target, and never again
-        # while the target is solved
+        # power_gcd decides the reduction once, when the target is built;
+        # solving it asks only for the minimal polynomials of its candidates
+        # 4/9 and 8/27, and from_binomial takes a record as it is
         calls = []
-        decide = solver_module.power_gcd
+        decide = minpoly.power_gcd
         monkeypatch.setattr(
-            solver_module,
+            minpoly,
             "power_gcd",
             lambda u, v, q: calls.append((u, v, q)) or decide(u, v, q),
         )
-        solve(target_of(6561, 9, 256), cross_check=True)
+        target = BinomialMinPoly(6561, 9, 256)
         assert calls == [(256, 6561, 9)]
-        # a plain binomial is reduced by the divisor procedure
-        solve_by_divisors(BinomialMinPoly(6561, 9, 256))
-        assert len(calls) == 2
+        assert AlgebraicTarget.from_binomial(target) is target
+        solve(target, cross_check=True)
+        solve_by_divisors(target)
+        assert calls[1:] == [(4, 9, 9), (8, 27, 27)] * 2
+        # from_rational asks power_gcd nothing, and x^2 - 4 is reduced once
+        del calls[:]
         rational = AlgebraicTarget.from_rational(2)
         assert solve_by_divisors(BinomialMinPoly(1, 2, 4)) == solve(rational)
-        assert calls[2:] == [(4, 1, 2)]
+        assert calls == [(4, 1, 2)]
 
 
 class TestIntegerScan:
@@ -317,6 +322,20 @@ class TestSolveByDivisors:
         assert solve_by_divisors(BinomialMinPoly(1, 1, 27)).solutions == (Fraction(3),)
         assert solve_by_divisors(BinomialMinPoly(1, 1, 2)).solutions == ()
 
+    def test_every_degree_one_target_delegates_to_scan(self, monkeypatch):
+        # alpha = 2/F7 is rational: the integer scan answers it at once, where
+        # factoring F7 = 2^128 + 1 spends the rho budget and refuses
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) for a rational target")
+
+        monkeypatch.setattr(solver_module, "factorize", refuse)
+        f7 = 2**128 + 1
+        target = BinomialMinPoly(f7, 1, 2)
+        assert solve_by_divisors(target) == solve(target) == solve_enumerative(target)
+        assert solve_by_divisors(target).solutions == ()
+        assert solve_by_divisors(BinomialMinPoly(9, 1, 4)).solutions == ()
+        assert solve_by_divisors(BinomialMinPoly(1, 1, 3125)).solutions == (Fraction(5),)
+
     def test_reducible_rejected(self):
         # a reducible binomial is answered for its positive root: 4x^4 - 1
         # has that of 2x^2 - 1, and x^2 - 4 the root 2
@@ -366,11 +385,9 @@ class TestSolveByDivisors:
                     i, j, l = rng.randint(0, 8), rng.randint(0, 5), rng.randint(0, 3)
                     s = 2**i * 3**j * 5**l
                 d, r = rng.randint(1, 24), rng.randint(1, 10**6)
-                if s == 1 or gcd(r, s) != 1:
+                if s == 1 or gcd(r, s) != 1 or not is_irreducible_binomial((s, d, r)):
                     continue
                 binomial = BinomialMinPoly(s, d, r)
-            if not is_irreducible_binomial(binomial):
-                continue
             got = solve_by_divisors(binomial)
             assert got == reference_solve_by_divisors(binomial), binomial
             checked += 1
@@ -417,11 +434,9 @@ class TestSolveDispatcher:
         checked = 0
         while checked < 150:
             s, d, r = rng.randint(1, 40), rng.randint(1, 8), rng.randint(1, 40)
-            if gcd(r, s) != 1:
+            if gcd(r, s) != 1 or not is_irreducible_binomial((s, d, r)):
                 continue
             binomial = BinomialMinPoly(s, d, r)
-            if not is_irreducible_binomial(binomial):
-                continue
             by_divisors = solve_by_divisors(binomial)
             target = AlgebraicTarget.from_binomial(binomial)
             assert by_divisors.solutions == solve_enumerative(target).solutions
