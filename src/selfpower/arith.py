@@ -690,13 +690,6 @@ def ln_interval(n: int, prec: int) -> tuple[int, int]:
     return (k * ln2_lo + ln_lo) >> shift, -((-(k * ln2_hi + ln_hi)) >> shift)
 
 
-def floor_of_multiple_ln(mult: int, n: int) -> int:
-    """floor(mult * ln n) computed from the upper enclosure (never undercounts)."""
-    prec = 96
-    _, hi = ln_interval(n, prec)
-    return (mult * hi) >> prec
-
-
 _MAX_LOG_PRECISION = 1 << 16
 #: Bottom rung of the ladder _LOG_START_PRECISION * 2^j, up to
 #: _MAX_LOG_PRECISION, on which compare_power_products takes every log2

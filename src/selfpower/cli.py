@@ -109,32 +109,24 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-# past this many bits, decimal's multiplication beats int division
-_DIVISION_BITS = 1 << 14
-
-
 def _int_text(n: int) -> str:
     """str(n) for an integer of any size, str() writing DECIMAL_TEXT_BITS
-    bits at most.  Up to _DIVISION_BITS, n is divided by a power of ten near
-    its square root; past it, its halves by bits are converted into Decimals
-    and recombined exactly, as CPython 3.12 does (_pylong)."""
+    bits at most: a longer n is halved by bits down to pieces that str()
+    writes, and the pieces are recombined exactly as Decimals, as CPython
+    3.12 does (_pylong)."""
     bits = n.bit_length()
     if bits <= DECIMAL_TEXT_BITS:
         return str(n)
     if n < 0:
         return "-" + _int_text(-n)
-    if bits <= _DIVISION_BITS:
-        k = bits * 3 // 20  # 10^k < 2^(bits/2)
-        high, low = divmod(n, 10**k)
-        return _int_text(high) + _int_text(low).zfill(k)
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
     from functools import cache
 
     power = cache(lambda w: Decimal(2) ** w)
 
     def convert(m, w):  # m < 2^w
-        if w <= _DIVISION_BITS:
-            return Decimal(_int_text(m))
+        if w <= DECIMAL_TEXT_BITS:
+            return Decimal(str(m))
         h = w >> 1
         top = m >> h
         return convert(top, w - h) * power(h) + convert(m - (top << h), h)
@@ -560,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "minpoly", parents=[common], help="minimal polynomial of (a/b)^(a/b)"
     )
-    p.add_argument("fraction", help="positive rational a/b in lowest terms")
+    p.add_argument("fraction", help="positive rational a/b")
 
     p = sub.add_parser(
         "powcheck", parents=[common], help="is x^P(x) rational for this x?"

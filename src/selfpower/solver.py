@@ -5,8 +5,9 @@ reduced fraction a/b with denominator up to the degree-driven bound.  The
 divisor procedure works backwards from the binomial minimal polynomial
 s*x^d - r: any solution a/b forces s = lam^a and b^d = lam^b for a common base
 lam dividing s.  With s = base^k, k the gcd of the prime exponents of s, that
-leaves a | k and b = base^j, a handful of candidates.  Both return the same
-set; `solve` can cross-check them.  Both take alpha as the record
+leaves a | k and b = base^j, a handful of candidates; a rational alpha
+(d = 1) is read off r = base^k alone.  Both return the same solutions, and
+`solve` can cross-check them.  Both take alpha as the record
 `minpoly.BinomialMinPoly`, reduced when it was built, never here.
 
 The module also generates and verifies the classical two-parameter families:
@@ -23,11 +24,11 @@ from math import gcd, isqrt
 
 from .arith import (
     Ordering,
+    _as_perfect_power,
     check_bit_cap,
     compare_self_power_to_root,
     factorize,
     ln_interval,
-    floor_of_multiple_ln,
     powers_equal,
 )
 from .errors import DomainError
@@ -92,28 +93,26 @@ def denominator_bound(d: int) -> int:
         raise DomainError("degree must be >= 1")
     if d == 1:
         return 1
-    return floor_of_multiple_ln(4 * d, d)
+    return (4 * d * ln_interval(d, 96)[1]) >> 96
 
 
 def solve_enumerative(target: BinomialMinPoly) -> SolutionSet:
     """All solutions by exhaustive exact testing.
 
-    Integer scan first; when alpha has degree d > 1, every reduced a/b with
-    2 <= b <= denominator_bound(d) and 1 <= a <= N*b is tested exactly.
+    Integer scan first, then every reduced a/b with 2 <= b <=
+    denominator_bound(d) and 1 <= a <= N*b is tested exactly; for a rational
+    alpha (d = 1) the bound is 1 and the integer scan is all there is.
     """
     found, count = integer_scan(target)
     solutions = [] if found is None else [Fraction(found)]
     s, d, r = target
-    if d > 1:
-        bound = denominator_bound(d)
-        hits, tested = _scan_denominators(d, count, bound, r, s)
-        count += tested
-        for a, b in hits:
-            x = Fraction(a, b)
-            if compare_self_power_to_root(x, d, r, s) is not Ordering.EQUAL:
-                raise AssertionError(f"scan hit {x} fails the exact recheck")
-            solutions.append(x)
-    return SolutionSet(tuple(sorted(solutions)), count)
+    hits, tested = _scan_denominators(d, count, denominator_bound(d), r, s)
+    for a, b in hits:
+        x = Fraction(a, b)
+        if compare_self_power_to_root(x, d, r, s) is not Ordering.EQUAL:
+            raise AssertionError(f"scan hit {x} fails the exact recheck")
+        solutions.append(x)
+    return SolutionSet(tuple(sorted(solutions)), count + tested)
 
 
 def _scan_denominators(
@@ -187,13 +186,25 @@ def solve_by_divisors(binomial: BinomialMinPoly) -> SolutionSet:
     reconstructed minimal polynomial.
 
     scan_count is the number of candidates covered: the divisors lam > 1 of s,
-    plus every 2 <= b <= bound for each of the tau(k) exponents a.  A rational
-    alpha (d = 1) has only integer solutions: the integer scan finds them.
+    plus every 2 <= b <= bound for each of the tau(k) exponents a.
     s = 1 and d > 1 leaves k = 0, no exponents and, rightly, no solutions.
+
+    A rational alpha (d = 1) has only integer solutions, and none unless
+    s = 1, so s is never factored.  With r = base^k and base no perfect power
+    (1 = 1^1), n^n = r forces n = base^j with j*base^j = k; scan_count is the
+    number of candidates j tested.
     """
     s, d, r = binomial
+    found: list[Fraction] = []
     if d == 1:
-        return solve_enumerative(binomial)
+        j = 1
+        if s == 1:
+            base, k = _as_perfect_power(r, 1) if r > 1 else (1, 1)
+            while j * base**j <= k:
+                if j * base**j == k:
+                    found.append(Fraction(base**j))
+                j += 1
+        return SolutionSet(tuple(found), j - 1)
     s_factors = factorize(s)
     k = 0
     n_divisors = 1
@@ -205,7 +216,6 @@ def solve_by_divisors(binomial: BinomialMinPoly) -> SolutionSet:
         base *= p ** (e // k)
     bound = denominator_bound(d)
     exponents = _divisors(k)
-    found: list[Fraction] = []
     for a in exponents:
         m = k // a
         b, j = base, 1
@@ -229,17 +239,18 @@ def _divisors(n: int) -> list[int]:
 
 
 def solve(target: BinomialMinPoly, cross_check: bool = False) -> SolutionSet:
-    """Solve x^x = alpha: enumeration when alpha is rational (d = 1), the
-    divisor procedure otherwise; cross_check runs both and insists they agree."""
-    if target.d == 1:
-        return solve_enumerative(target)
-    result = solve_by_divisors(target)
+    """Solve x^x = alpha, reporting the enumeration's SolutionSet when alpha
+    is rational (d = 1) and the divisor procedure's otherwise; cross_check
+    also runs the other procedure and insists the solutions agree."""
+    rational = target.d == 1
+    result = (solve_enumerative if rational else solve_by_divisors)(target)
     if cross_check:
-        other = solve_enumerative(target)
+        other = (solve_by_divisors if rational else solve_enumerative)(target)
         if other.solutions != result.solutions:
+            divisors, enumeration = (other, result) if rational else (result, other)
             raise AssertionError(
-                f"solution procedures disagree: divisors {result.solutions} "
-                f"vs enumeration {other.solutions}"
+                f"solution procedures disagree: divisors {divisors.solutions} "
+                f"vs enumeration {enumeration.solutions}"
             )
     return result
 

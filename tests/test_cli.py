@@ -288,19 +288,18 @@ class TestParsePolynomial:
 
 
 def test_long_integers_are_written_as_str_writes_them():
-    # str up to DECIMAL_TEXT_BITS, divisions by powers of ten up to
-    # _DIVISION_BITS, decimal past it; powers of ten put runs of zeros where
-    # the pieces join
+    # str up to DECIMAL_TEXT_BITS, decimal past it in pieces of at most that
+    # many bits; powers of ten put runs of zeros where the pieces join
     rng = random.Random(20)
-    short, cut = DECIMAL_TEXT_BITS, cli._DIVISION_BITS
-    sizes = [1, 2, short - 1, short, short + 1, 4096, cut - 1, cut, cut + 1, 1 << 20]
+    short, mid = DECIMAL_TEXT_BITS, 1 << 14
+    sizes = [1, 2, short - 1, short, short + 1, 4096, mid - 1, mid, mid + 1, 1 << 20]
     sizes += [int(2 ** rng.uniform(0, 20)) for _ in range(24)]
-    values = [1 << cut, (1 << cut) - 1, 10**616, 10**617 - 1, 10**617, 10**617 + 1]
+    values = [1 << mid, (1 << mid) - 1, 10**616, 10**617 - 1, 10**617, 10**617 + 1]
     values += [10**2466, 10**2467 - 1, 10**4932 + 1, 10**5000, 10**20000 + 7]
     values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
     with _every_digit():
         texts = [str(n) for n in values]
-        n = rng.getrandbits(3 * cut) | 1
+        n = rng.getrandbits(3 * mid) | 1
         n_text = str(n)
     assert cli._int_text(0) == "0"
     for value, text in zip(values, texts):
@@ -951,7 +950,6 @@ def test_readme_states_every_cap():
         "_MAX_PROBES": (certify._MAX_PROBES, "makes at most {} probes"),
         "_MAX_SWEEP_POINTS": (polypower._MAX_SWEEP_POINTS, "sweep covers at most {} "),
         "DECIMAL_TEXT_BITS": (errors.DECIMAL_TEXT_BITS, "an integer of more than {} bits"),
-        "_DIVISION_BITS": (cli._DIVISION_BITS, "Integers past {} bits"),
         "_MAX_LOG_PRECISION": (arith._MAX_LOG_PRECISION, "precision cap of {} bits"),
     }
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

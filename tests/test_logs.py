@@ -21,7 +21,6 @@ from selfpower.arith import (
     _atanh_sums,
     _ln2_interval,
     _ln_mantissa,
-    floor_of_multiple_ln,
     ln_interval,
     log2_interval,
 )
@@ -320,10 +319,3 @@ def test_log2_cache_is_bounded():
     maxsize = arith._log2_interval.cache_info().maxsize
     assert maxsize is not None and maxsize <= 1024
 
-
-def test_floor_of_multiple_ln_known_values():
-    # floor(4 d ln d) for the spec's bound arguments, cross-checked numerically
-    mp.mp.dps = 40
-    for d in (2, 3, 9, 40, 137):
-        expected = int(mp.floor(4 * d * mp.ln(d)))
-        assert floor_of_multiple_ln(4 * d, d) == expected

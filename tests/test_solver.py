@@ -59,7 +59,8 @@ def reference_solve_by_divisors(binomial):
     """The divisor procedure before the closed form: every divisor vector lam of
     s, the exponent a with lam^a = s read off per prime, and b^d = lam^b tested
     exactly for every b up to the bound.  A rational alpha (d = 1) has only
-    integer solutions, found by the integer scan."""
+    integer solutions, found by the integer scan; its scan_count is the
+    scan's, not the divisor procedure's."""
     s, d, r = binomial.s, binomial.d, binomial.r
     if d == 1:
         return solve_enumerative(binomial)
@@ -86,6 +87,15 @@ def reference_solve_by_divisors(binomial):
             if minimal_polynomial_of_self_power(a, b) == binomial:
                 found.append(Fraction(a, b))
     return SolutionSet(tuple(sorted(found)), tested)
+
+
+def assert_matches_reference(binomial):
+    # the whole SolutionSet for d > 1; for a rational alpha the two counts
+    # count different candidates, so only the solutions
+    got, expected = solve_by_divisors(binomial), reference_solve_by_divisors(binomial)
+    assert got.solutions == expected.solutions, binomial
+    assert binomial.d == 1 or got == expected, binomial
+    return got
 
 
 def target_of(s, d, r):
@@ -240,7 +250,9 @@ class TestTargetConstruction:
         # from_rational asks power_gcd nothing, and x^2 - 4 is reduced once
         del calls[:]
         rational = AlgebraicTarget.from_rational(2)
-        assert solve_by_divisors(BinomialMinPoly(1, 2, 4)) == solve(rational)
+        assert solve_by_divisors(BinomialMinPoly(1, 2, 4)).solutions == (
+            solve(rational).solutions
+        )
         assert calls == [(4, 1, 2)]
 
 
@@ -318,23 +330,43 @@ class TestSolveByDivisors:
         # monic binomial of degree >= 2: no rational solutions at all
         assert solve_by_divisors(BinomialMinPoly(1, 3, 2)).solutions == ()
 
-    def test_monic_degree_one_delegates_to_scan(self):
-        assert solve_by_divisors(BinomialMinPoly(1, 1, 27)).solutions == (Fraction(3),)
-        assert solve_by_divisors(BinomialMinPoly(1, 1, 2)).solutions == ()
+    def test_monic_degree_one_is_read_off_r(self):
+        # r = base^k with base no perfect power: n = base^j with j*base^j = k,
+        # scan_count the j tested
+        assert solve_by_divisors(BinomialMinPoly(1, 1, 27)) == ((Fraction(3),), 1)
+        assert solve_by_divisors(BinomialMinPoly(1, 1, 2**64)) == ((Fraction(16),), 4)
+        assert solve_by_divisors(BinomialMinPoly(1, 1, 2**63)) == ((), 3)
+        assert solve_by_divisors(BinomialMinPoly(1, 1, 1)) == ((Fraction(1),), 1)
+        assert solve_by_divisors(BinomialMinPoly(1, 1, 2)) == ((), 0)
 
-    def test_every_degree_one_target_delegates_to_scan(self, monkeypatch):
-        # alpha = 2/F7 is rational: the integer scan answers it at once, where
-        # factoring F7 = 2^128 + 1 spends the rho budget and refuses
+    def test_degree_one_targets_are_answered_without_factoring(self, monkeypatch):
+        # alpha = 2/F7 is rational with s != 1, so no integer n solves it:
+        # neither procedure factors s, where factoring F7 = 2^128 + 1 spends
+        # the rho budget and refuses
         def refuse(n):
             raise AssertionError(f"factorize({n}) for a rational target")
 
         monkeypatch.setattr(solver_module, "factorize", refuse)
         f7 = 2**128 + 1
         target = BinomialMinPoly(f7, 1, 2)
-        assert solve_by_divisors(target) == solve(target) == solve_enumerative(target)
-        assert solve_by_divisors(target).solutions == ()
+        assert solve_by_divisors(target) == ((), 0)
+        assert solve(target, cross_check=True) == solve_enumerative(target)
         assert solve_by_divisors(BinomialMinPoly(9, 1, 4)).solutions == ()
         assert solve_by_divisors(BinomialMinPoly(1, 1, 3125)).solutions == (Fraction(5),)
+
+    def test_degree_one_matches_the_enumeration(self):
+        # n^n, its neighbours, its square and odd multiples, and seeded odd r
+        # up to 3000 bits, through solve's cross-check
+        rng = random.Random(1795)
+        values = [rng.getrandbits(rng.randint(1, 3000)) | 1 for _ in range(40)]
+        for n in range(1, 60):
+            values += [n**n, n**n - 1, n**n + 1, n ** (2 * n), 3 * n**n, 5 * n**n]
+        for value in filter(None, values):
+            for q in {Fraction(value), Fraction(1, value), Fraction(value, 2)}:
+                target = BinomialMinPoly.from_rational(q)
+                result = solve(target, cross_check=True)
+                assert result == solve_enumerative(target), q
+                assert result.solutions == solve_by_divisors(target).solutions
 
     def test_reducible_rejected(self):
         # a reducible binomial is answered for its positive root: 4x^4 - 1
@@ -361,8 +393,7 @@ class TestSolveByDivisors:
                 if gcd(a, b) != 1:
                     continue
                 binomial = minimal_polynomial_of_self_power(a, b)
-                got = solve_by_divisors(binomial)
-                assert got == reference_solve_by_divisors(binomial), (a, b)
+                got = assert_matches_reference(binomial)
                 assert Fraction(a, b) in got.solutions
 
     def test_matches_reference_on_seeded_binomials(self):
@@ -388,8 +419,7 @@ class TestSolveByDivisors:
                 if s == 1 or gcd(r, s) != 1 or not is_irreducible_binomial((s, d, r)):
                     continue
                 binomial = BinomialMinPoly(s, d, r)
-            got = solve_by_divisors(binomial)
-            assert got == reference_solve_by_divisors(binomial), binomial
+            assert_matches_reference(binomial)
             checked += 1
 
 
