@@ -690,6 +690,19 @@ def ln_interval(n: int, prec: int) -> tuple[int, int]:
     return (k * ln2_lo + ln_lo) >> shift, -((-(k * ln2_hi + ln_hi)) >> shift)
 
 
+def integer_below(c: int, n: int, log_interval) -> int:
+    """The largest integer strictly below c * log(n), for c, n >= 1 and
+    log_interval ln_interval or log2_interval.  An exact enclosure means an
+    integer log(n); otherwise c * log(n) is irrational, and the precision,
+    first 64 bits past c's length, doubles until c*lo and c*hi floor alike."""
+    prec = c.bit_length() + 64
+    lo, hi = log_interval(n, prec)
+    while lo != hi and c * lo >> prec != c * hi >> prec:
+        prec *= 2
+        lo, hi = log_interval(n, prec)
+    return (c * hi >> prec) - (lo == hi)
+
+
 _MAX_LOG_PRECISION = 1 << 16
 #: Bottom rung of the ladder _LOG_START_PRECISION * 2^j, up to
 #: _MAX_LOG_PRECISION, on which compare_power_products takes every log2

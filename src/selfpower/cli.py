@@ -60,27 +60,24 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-# int() reads at most the 617 digits of 2^DECIMAL_TEXT_BITS at a time, so no
+# int() reads at most the digits of 2^DECIMAL_TEXT_BITS at a time, so no
 # int/str digit limit (640 at the lowest) changes what is read
-_TEXT_DIGITS = 617
+_TEXT_DIGITS = len(str(1 << DECIMAL_TEXT_BITS))
 # int()'s syntax: whitespace (str.isspace but U+001C-U+001F) around a sign and
 # Unicode decimal digits, single underscores between them
 _LITERAL_RE = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 
 
 def _int_literal(text: str, position: int | None) -> int:
-    """The value of a decimal literal of at most _MAX_COEFFICIENT_BITS bits as
-    int() reads it, its length checked first; a long one is read in halves."""
+    """The value of [+-]?\\d+ text, whose syntax its caller has checked, of at
+    most _MAX_COEFFICIENT_BITS bits, its length checked first; read in halves."""
     count = len(text.lstrip("+-"))
     value = None
     if len(text) <= _TEXT_DIGITS:
         value = int(text)
     elif count <= _MAX_LITERAL_DIGITS:
-        match = _LITERAL_RE.fullmatch(text)
-        if match is None:
-            raise ValueError("invalid decimal literal")
-        value = _digits_value(match[2].replace("_", ""))
-        value = -value if match[1] == "-" else value
+        value = _digits_value(text[-count:])
+        value = -value if text[0] == "-" else value
     if value is None or value.bit_length() > _MAX_COEFFICIENT_BITS:
         size = f"{count} digits" if value is None else f"{value.bit_length()} bits"
         raise ParseError(
@@ -101,12 +98,13 @@ def _digits_value(digits: str) -> int:
 
 def _int_option(text: str) -> int:
     """argparse type of the integer options: int()'s syntax, _int_literal's caps."""
+    match = _LITERAL_RE.fullmatch(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        return _int_literal(text, None)
+        return _int_literal(match[1] + match[2].replace("_", ""), None)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _int_text(n: int) -> str:
@@ -453,9 +451,9 @@ def _certificate_payload(cert: Certificate) -> dict:
 def _cmd_classify(args):
     width = None if args.width is None else parse_rational(args.width)
     q = parse_rational(args.q)
-    from .certify import DEFAULT_WIDTH, classify_preimage
+    from .certify import classify_preimage
 
-    result = classify_preimage(q, DEFAULT_WIDTH if width is None else width)
+    result = classify_preimage(q) if width is None else classify_preimage(q, width)
     if isinstance(result, int):
         payload = {"integer": result, "q": format_fraction(q)}
         human = f"x^x = {format_fraction(q)} has the integer solution x = {result}"
@@ -523,8 +521,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(_json({"error": message, "kind": "parse"}), file=sys.stderr)
-        raise SystemExit(2)
+        raise _fail(message, "parse", 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc: Exception, kind: str, code: int) -> "SystemExit":
-    print(_json({"error": str(exc), "kind": kind}), file=sys.stderr)
+def _fail(error: Exception | str, kind: str, code: int) -> "SystemExit":
+    print(_json({"error": str(error), "kind": kind}), file=sys.stderr)
     return SystemExit(code)
 
 

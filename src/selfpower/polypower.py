@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .arith import check_bit_cap, integer_kth_root, log2_interval
+from .arith import check_bit_cap, integer_below, integer_kth_root, log2_interval
 from .errors import DomainError, ResourceError, number_text
 from .minpoly import IntPolynomial
 
@@ -96,21 +96,14 @@ def leading_denominator_bound(leading: int) -> int:
     """Largest admissible denominator of x with x^P(x) rational and P(x) != 0.
 
     1 when |A| = 1; otherwise the largest integer strictly below
-    3|A|*log2|A|, with the logarithm rounded outward so that no admissible
-    denominator is ever excluded.
+    3|A|*log2|A|, exactly, at every |A|.
     """
     if leading == 0:
         raise DomainError("leading coefficient must be nonzero")
     a = abs(leading)
     if a == 1:
         return 1
-    prec = 96
-    lo, hi = log2_interval(a, prec)
-    v_lo, v_hi = 3 * a * lo, 3 * a * hi
-    if v_lo == v_hi and v_lo % (1 << prec) == 0:
-        # |A| is a power of two, so 3|A|log2|A| is an exact integer
-        return (v_lo >> prec) - 1
-    return v_hi >> prec
+    return integer_below(3 * a, a, log2_interval)
 
 
 def zero_exponent_denominator_bound(leading: int) -> int:

@@ -28,6 +28,7 @@ from .arith import (
     check_bit_cap,
     compare_self_power_to_root,
     factorize,
+    integer_below,
     ln_interval,
     powers_equal,
 )
@@ -69,31 +70,26 @@ def integer_scan(target: BinomialMinPoly) -> tuple[int | None, int]:
             found, count = None, n
             break
         n += 1
-    if count > max(3, 1 + _ceil_ln_alpha_upper(d, r, s)):
-        raise AssertionError(f"integer scan ran {count} steps, past its proven bound")
-    return found, count
-
-
-def _ceil_ln_alpha_upper(d: int, r: int, s: int) -> int:
-    # rigorous upper bound for ceil(ln alpha), alpha = (r/s)^(1/d)
+    # an upper bound of ceil(ln alpha) = ceil((ln r - ln s) / d), from enclosures
     prec = 96
     _, r_hi = ln_interval(r, prec)
     s_lo, _ = ln_interval(s, prec)
-    return -((s_lo - r_hi) // (d << prec))
+    if count > max(3, 1 - (s_lo - r_hi) // (d << prec)):
+        raise AssertionError(f"integer scan ran {count} steps, past its proven bound")
+    return found, count
 
 
 def denominator_bound(d: int) -> int:
     """Denominator bound for solutions when alpha has degree d.
 
     1 when d = 1 (rational alpha admits only integer solutions); otherwise
-    floor(4*d*ln d) with the logarithm rounded upward, so the bound is never
-    undercounted.
+    floor(4*d*ln d), exactly, at every d.
     """
     if d < 1:
         raise DomainError("degree must be >= 1")
     if d == 1:
         return 1
-    return (4 * d * ln_interval(d, 96)[1]) >> 96
+    return integer_below(4 * d, d, ln_interval)
 
 
 def solve_enumerative(target: BinomialMinPoly) -> SolutionSet:

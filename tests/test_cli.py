@@ -33,15 +33,20 @@ from selfpower.errors import DECIMAL_TEXT_BITS
 
 
 @contextmanager
-def _every_digit():
-    """The interpreter's int/str digit limit lifted, for the tests' own
-    reference texts and values; the package itself never touches it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+def _digit_limit(limit):
+    """The interpreter's int/str digit limit set to limit, 0 lifting it; the
+    package itself never touches it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(before)
+
+
+def _every_digit():
+    """The digit limit lifted, for the tests' own reference texts and values."""
+    return _digit_limit(0)
 
 
 def run_cli(capsys, argv, expect_exit=0):
@@ -386,6 +391,106 @@ class TestLongLiterals:
         with pytest.raises(ParseError) as exc:
             parse_polynomial(f"[{d}a]")
         assert str(exc.value) == f"bad integer coefficient '{d}a' (at position 1)"
+
+
+# int()'s whitespace is str.isspace but U+001C-U+001F, which are strays here
+_SPACES = " \t\n\x0b\x0c\x85\u00a0\u2003"
+_SIGNS = ["", "", "+", "-", "\u2212", "+-"]
+_DIGIT_SETS = ["0123456789", "0123456789", "\u0660\u0661\u0662\u0663\u0664"
+               "\u0665\u0666\u0667\u0668\u0669", "0123456789\u0660\u0665\u0669"]
+_STRAYS = "_+- \u2212a\u00b2.\x1c\x1d\x1e\x1f"
+
+
+def _option_text(rng, length):
+    """A text of at most length characters near int()'s syntax: spaces, a
+    sign, digits of one set with single underscores between some, spaces,
+    and in three texts of ten one stray character in place of another."""
+    head = "".join(rng.choices(_SPACES, k=rng.randrange(3))) + rng.choice(_SIGNS)
+    tail = "".join(rng.choices(_SPACES, k=rng.randrange(3)))
+    digits = rng.choice(_DIGIT_SETS)
+    body = [
+        "_" if i and rng.random() < 0.04 else rng.choice(digits)
+        for i in range(max(1, length - len(head) - len(tail)))
+    ]
+    text = (head + "".join(body) + tail)[:length]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(text))
+        text = text[:i] + rng.choice(_STRAYS) + text[i + 1 :]
+    return text
+
+
+class TestLiteralSyntax:
+    """Each caller of _int_literal checks its own text's syntax: the
+    expression and rational grammars and the coefficient list take
+    [+-]?\\d+, and the integer options take int()'s syntax."""
+
+    def test_options_read_as_int_at_every_length(self):
+        # options as short as one character go through the option's own
+        # syntax check, not only those past the interpreter's digit limit
+        rng = random.Random(640)
+        accepted = 0
+        for length in range(1, 701):
+            for _ in range(4):
+                text = _option_text(rng, length)
+                with _every_digit():
+                    try:
+                        expected = int(text)
+                    except ValueError:
+                        expected = None
+                if expected is None:
+                    with pytest.raises(argparse.ArgumentTypeError) as exc:
+                        cli._int_option(text)
+                    assert str(exc.value) == f"invalid int value: {text!r}"
+                else:
+                    assert cli._int_option(text) == expected, text[:20]
+                    accepted += 1
+        assert 500 < accepted < 2300  # both sides are well covered
+
+    @pytest.mark.parametrize("count", [617, 618, 19729])
+    def test_lengths_around_the_thresholds_are_read(self, count):
+        # 617 digits go to int() at once, 618 in pieces; 19729 is the cap
+        with _every_digit():
+            digits = str(2**65536 - 1)[:count]
+            value = int(digits)
+        with _digit_limit(640):
+            assert parse_rational(f"-{digits}") == -value
+            assert parse_rational(f"1/{digits}") == Fraction(1, value)
+            assert parse_polynomial(f"{digits}*x - 1").terms == ((1, value), (0, -1))
+            assert parse_polynomial(f"[1, -{digits}]").terms == ((1, -value), (0, 1))
+            assert cli._int_option(f" +{digits}\n") == value
+
+    def test_one_digit_past_the_cap_is_refused_unread(self):
+        digits = "1" * 19730
+        refusal = (
+            "integer literal of 19730 digits exceeds the supported size of "
+            "65536 bits (19729 digits)"
+        )
+        with _digit_limit(640):
+            for parse, text, position in [
+                (parse_rational, f"-{digits}", 0),
+                (parse_rational, f"1/{digits}", 2),
+                (parse_polynomial, f"{digits}*x - 1", 0),
+                (parse_polynomial, f"[1, -{digits}]", 4),
+            ]:
+                with pytest.raises(ParseError) as exc:
+                    parse(text)
+                assert str(exc.value) == f"{refusal} (at position {position})"
+            with pytest.raises(argparse.ArgumentTypeError) as exc:
+                cli._int_option(f" +{digits}\n")
+            assert str(exc.value) == refusal
+
+    def test_width_help_states_the_default(self):
+        # the parser is built before certify is imported, so the help text
+        # restates certify.DEFAULT_WIDTH
+        from selfpower.certify import DEFAULT_WIDTH
+
+        (commands,) = [
+            action
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (width,) = [a for a in commands.choices["classify"]._actions if a.dest == "width"]
+        assert width.help.endswith(f"(default {format_fraction(DEFAULT_WIDTH)})")
 
 
 class TestGoldenOutputs:

@@ -15,12 +15,13 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from selfpower import DomainError
+from selfpower import DomainError, denominator_bound, leading_denominator_bound
 from selfpower import arith
 from selfpower.arith import (
     _atanh_sums,
     _ln2_interval,
     _ln_mantissa,
+    integer_below,
     ln_interval,
     log2_interval,
 )
@@ -278,6 +279,102 @@ def test_ln_interval_encloses_random_and_edge_n(prec):
         v = mp.ln(n) * (1 << prec)
         assert lo <= v <= hi, (n.bit_length(), prec)
         assert hi - lo <= 2, (n.bit_length(), prec)
+
+
+class TestIntegerBelow:
+    """integer_below(c, n, log_interval): the largest integer strictly below
+    c * log(n).  TestDenominatorBounds checks its two callers against mpmath."""
+
+    def test_examples(self):
+        # log2 of a power of two and ln 1 are integers, enclosed exactly
+        assert integer_below(3, 4, log2_interval) == 5
+        assert integer_below(3 * 2**70, 2**70, log2_interval) == 210 * 2**70 - 1
+        assert integer_below(5, 1, ln_interval) == -1
+        # the other logarithms are irrational
+        assert integer_below(8, 2, ln_interval) == 5  # 5.545
+        assert integer_below(9, 3, log2_interval) == 14  # 14.26
+        assert integer_below(1, 3, ln_interval) == 1  # 1.0986
+
+    def test_first_enclosure_is_64_bits_past_c(self):
+        precs = []
+
+        def recording(n, prec):
+            precs.append(prec)
+            return ln_interval(n, prec)
+
+        assert integer_below(36, 9, recording) == 79
+        assert precs == [70]  # c = 36 has 6 bits
+
+    def test_enclosure_straddling_an_integer_is_refined(self):
+        # an enclosure whose ends, times c, floor apart decides nothing: the
+        # precision doubles until they agree, whatever the first width was
+        precs = []
+
+        def wide_at_first(n, prec):
+            precs.append(prec)
+            lo, hi = ln_interval(n, prec)
+            return (lo, hi + (1 << prec)) if len(precs) == 1 else (lo, hi)
+
+        assert integer_below(8, 2, wide_at_first) == 5
+        assert precs == [68, 136]
+
+
+def _bound_test_values(seed):
+    """Integers of 2 to 8000 bits: random ones of log-uniform bit length,
+    2^k - 1, 2^k and 2^k + 1, and two where a 96-bit logarithm makes the
+    bounds 17 and 6.1e31 too large."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(600):
+        bits = min(8000, round(2 ** rng.uniform(1, 13)))
+        values.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    for k in (2, 3, 8, 31, 32, 63, 64, 65, 96, 127, 1000, 4096, 7999):
+        values += [2**k - 1, 2**k, 2**k + 1]
+    return values + [2**100 + 3, 2**200 + 1]
+
+
+def _mp_floor(value, n):
+    """floor(value()) by mpmath at 160 bits past n's length, for a value c *
+    log(n) with c < 8n, so below 2^(n.bit_length() + 20); the oracle must
+    itself decide the floor at that precision."""
+    with mp.workprec(n.bit_length() + 160):
+        v = value()
+        floor = mp.floor(v)
+        if not 2**-64 < v - floor < 1 - 2**-64:
+            raise AssertionError(f"the oracle cannot decide the floor at {n}")
+        return int(floor)
+
+
+def _expected_denominator_bound(d):
+    return _mp_floor(lambda: 4 * d * mp.ln(d), d)
+
+
+def _expected_leading_bound(a):
+    # ceil(3|A| log2|A|) - 1: one below the integer 3|A|k when |A| = 2^k,
+    # and otherwise the floor of an irrational number
+    k = a.bit_length() - 1
+    if a == 1 << k:
+        return 3 * a * k - 1
+    return _mp_floor(lambda: 3 * a * mp.log(a, 2), a)
+
+
+class TestDenominatorBounds:
+    """floor(4 d ln d) and ceil(3|A| log2|A|) - 1, exactly, at every size up
+    to the literal cap."""
+
+    def test_degree_bound_from_2_to_8000_bits(self):
+        for d in _bound_test_values(11):
+            assert denominator_bound(d) == _expected_denominator_bound(d), d
+
+    def test_leading_bound_from_2_to_8000_bits(self):
+        for a in _bound_test_values(13):
+            assert leading_denominator_bound(a) == _expected_leading_bound(a), a
+            assert leading_denominator_bound(-a) == _expected_leading_bound(a), a
+
+    def test_at_the_literal_cap(self):
+        n = 2**65536 - 1
+        assert denominator_bound(n) == _expected_denominator_bound(n)
+        assert leading_denominator_bound(n) == _expected_leading_bound(n)
 
 
 def test_ln_of_one_is_exact():
