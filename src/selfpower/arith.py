@@ -506,8 +506,8 @@ def powers_equal(x: int, p: int, y: int, q: int) -> bool:
     either power in full.
 
     The exponents are reduced by their gcd; the coprime-exponent equation then
-    forces a common base lam with x = lam**q and y = lam**p, which is checked
-    through a single integer root extraction.
+    forces a common base lam with x = lam**q and y = lam**p; _common_base,
+    shared with lambda_decompose, finds it by one integer root extraction.
     """
     if x < 1 or y < 1 or p < 0 or q < 0:
         raise DomainError("powers_equal requires x, y >= 1 and p, q >= 0")
@@ -520,9 +520,12 @@ def powers_equal(x: int, p: int, y: int, q: int) -> bool:
     # x = lam**q with lam >= 2 has more than q bits
     if x.bit_length() <= q:
         return False
-    p //= g
+    return _common_base(x, p // g, y, q) is not None
+
+
+def _common_base(x: int, p: int, y: int, q: int) -> int | None:
     lam = integer_kth_root(x, q)
-    return lam is not None and _sizes_overlap(lam, p, y, 1) and lam**p == y
+    return lam if lam and _sizes_overlap(lam, p, y, 1) and lam**p == y else None
 
 
 def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
@@ -538,8 +541,8 @@ def lambda_decompose(x: int, y: int, a: int, b: int) -> int:
         raise DomainError(
             f"exponents must be coprime, got gcd({number_text(a)}, {number_text(b)}) != 1"
         )
-    lam = integer_kth_root(x, b)
-    if lam is None or not (_sizes_overlap(lam, a, y, 1) and lam**a == y):
+    lam = _common_base(x, a, y, b)
+    if lam is None:
         raise PreconditionError(
             f"{number_text(x)}^{number_text(a)} != {number_text(y)}^{number_text(b)}"
         )
@@ -814,7 +817,8 @@ def compare_self_power_to_root(
     a^(a*d) * s^b vs b^(a*d) * r^b; equality splits into a^(a*d) = r^b and
     b^(a*d) = s^b, each tested exactly only where its two sides can have the
     same bit length.  prec is the start precision compare_power_products
-    takes.
+    takes.  These checks are for a caller's raw (t, d, r, s): a scan's
+    BinomialMinPoly, or a Fraction q, proved gcd(r, s) = 1 when it was built.
     """
     _require_positive(t, "t")
     if d < 1 or r < 1 or s < 1:
@@ -823,6 +827,11 @@ def compare_self_power_to_root(
         raise DomainError(
             f"r and s must be coprime, got gcd({number_text(r)}, {number_text(s)}) != 1"
         )
+    return _compare_to_reduced_root(t, d, r, s, prec)
+
+
+def _compare_to_reduced_root(t, d, r, s, prec=_LOG_START_PRECISION) -> Ordering:
+    """compare_self_power_to_root on requirements its caller has proved."""
     a, b = t.numerator, t.denominator
     e = a * d
     # sides that differ in size need no root extraction; a certificate probe
@@ -840,12 +849,9 @@ def compare_self_power_to_root(
 def compare_self_power_to_rational(
     t: Fraction, q: Fraction, *, prec: int = _LOG_START_PRECISION
 ) -> Ordering:
-    """Exact order of t**t versus the rational q, both positive.
-
-    The d = 1 case of compare_self_power_to_root, with the same start
-    precision prec: writing t = a/b and q = m/n in lowest terms, t^t vs q is
-    the integer comparison a^a * n^b vs b^a * m^b, and equality splits into
-    a^a = m^b and b^a = n^b.
-    """
+    """Exact order of t**t versus the rational q = m/n, both positive: the
+    d = 1 case of compare_self_power_to_root, with the same start precision
+    prec.  A Fraction is reduced when built, so gcd(m, n) is not taken again."""
     _require_positive(q, "q")
-    return compare_self_power_to_root(t, 1, q.numerator, q.denominator, prec=prec)
+    _require_positive(t, "t")
+    return _compare_to_reduced_root(t, 1, q.numerator, q.denominator, prec)

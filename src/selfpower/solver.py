@@ -8,7 +8,7 @@ lam dividing s.  With s = base^k, k the gcd of the prime exponents of s, that
 leaves a | k and b = base^j, a handful of candidates; a rational alpha
 (d = 1) is read off r = base^k alone.  Both return the same solutions, and
 `solve` can cross-check them.  Both take alpha as the record
-`minpoly.BinomialMinPoly`, reduced when it was built, never here.
+`minpoly.BinomialMinPoly`, reduced with gcd(r, s) = 1 when built, never here.
 
 The module also generates and verifies the classical two-parameter families:
 the pairs x = (m/(m+1))^m, y = (m/(m+1))^(m+1) solving x^x = y^y, and their
@@ -25,8 +25,8 @@ from math import gcd, isqrt
 from .arith import (
     Ordering,
     _as_perfect_power,
+    _compare_to_reduced_root,
     check_bit_cap,
-    compare_self_power_to_root,
     factorize,
     integer_below,
     ln_interval,
@@ -57,12 +57,13 @@ def integer_scan(target: BinomialMinPoly) -> tuple[int | None, int]:
     """Scan n = 1, 2, ... until n^n >= alpha, each step an exact comparison.
 
     Returns (n, N) when n^n = alpha exactly, else (None, N), with N the number
-    of integers tested; N never exceeds max(3, 1 + ceil(ln alpha)).
+    of integers tested; N never exceeds max(3, 1 + ceil(ln alpha)).  No step
+    takes gcd(r, s) again: the record proved it 1 when it was built.
     """
     s, d, r = target
     n = 1
     while True:
-        c = compare_self_power_to_root(Fraction(n), d, r, s)
+        c = _compare_to_reduced_root(Fraction(n), d, r, s)
         if c is Ordering.EQUAL:
             found, count = n, n
             break
@@ -105,7 +106,7 @@ def solve_enumerative(target: BinomialMinPoly) -> SolutionSet:
     hits, tested = _scan_denominators(d, count, denominator_bound(d), r, s)
     for a, b in hits:
         x = Fraction(a, b)
-        if compare_self_power_to_root(x, d, r, s) is not Ordering.EQUAL:
+        if _compare_to_reduced_root(x, d, r, s) is not Ordering.EQUAL:
             raise AssertionError(f"scan hit {x} fails the exact recheck")
         solutions.append(x)
     return SolutionSet(tuple(sorted(solutions)), count + tested)

@@ -808,6 +808,8 @@ with _every_digit():
     _LARGEST = str(2**65536 - 1)  # the largest literal, 19729 digits
     _BELOW = str(2**65536 - 2)
     _FILTER_PASSER = str(_residue_filter_passer())  # 19,728 digits
+    _R = str(2**65535 + 1)  # 19729 digits
+    _RATIONAL = f"{_R}/{3**19000}"  # over 9066 digits
 _ADVERSARIAL = [
     pytest.param(["solve", "--alpha", "x^200-2", "--verify-both"], 30, id="x^200-2"),
     pytest.param(["solve", "--alpha", "x^20000 - 3"], 30, id="x^20000"),
@@ -873,6 +875,17 @@ _ADVERSARIAL = [
         ["powsearch", "--poly", "x", "--a-max", "5", "--b-max", "100000000000"],
         10,
         id="sweep-b",
+    ),
+    # 5-13 s when every scan step and probe took the gcd of alpha's long
+    # numerator and denominator again
+    pytest.param(["solve", "--alpha", _RATIONAL], 3, id="solve-long-rational"),
+    pytest.param(
+        ["classify", "--q", _RATIONAL, "--width", "1/1000"], 3, id="classify-long-rational"
+    ),
+    pytest.param(
+        ["solve", "--alpha", f"3^19000*x^2 - {_R}", "--verify-both"],
+        3,
+        id="solve-long-binomial",
     ),
 ]
 

@@ -30,7 +30,7 @@ def test_scan_hit_recheck_raises(monkeypatch):
     # every comparison answers GREATER: the integer scan stops at n = 1 and
     # the recheck of each scan hit fails
     monkeypatch.setattr(
-        solver, "compare_self_power_to_root", lambda *args: Ordering.GREATER
+        solver, "_compare_to_reduced_root", lambda *args: Ordering.GREATER
     )
     target = AlgebraicTarget.from_binomial(minimal_polynomial_of_self_power(8, 27))
     with pytest.raises(AssertionError, match="exact recheck"):
@@ -52,7 +52,7 @@ def test_integer_scan_bound_raises(monkeypatch, scan):
     def lying(x, d, r, s):
         return Ordering.LESS if x < 10 else Ordering.GREATER
 
-    monkeypatch.setattr(solver, "compare_self_power_to_root", lying)
+    monkeypatch.setattr(solver, "_compare_to_reduced_root", lying)
     with pytest.raises(AssertionError, match="proven bound"):
         scan()
 
@@ -81,7 +81,7 @@ def test_guards_survive_optimized_mode():
     # test_integer_scan_bound_raises
     code = (
         "import selfpower.solver as s\n"
-        "s.compare_self_power_to_root = lambda x, d, r, t: "
+        "s._compare_to_reduced_root = lambda x, d, r, t: "
         "s.Ordering.LESS if x < 10 else s.Ordering.GREATER\n"
         "try:\n"
         "    s.integer_scan(s.BinomialMinPoly.from_rational(2))\n"
@@ -161,6 +161,26 @@ def _sweep_past_a_low_bound(monkeypatch):
             DomainError,
             "r and s must be coprime, got gcd(2, 4) != 1",
             id="compare_root_coprime",
+        ),
+        pytest.param(
+            # t is checked before r and s, on input that fails both
+            lambda mp: arith.compare_self_power_to_root(Fraction(0), 2, 2, 4),
+            DomainError,
+            "t must be positive, got 0",
+            id="compare_root_t_before_coprime",
+        ),
+        pytest.param(
+            # q is checked before t
+            lambda mp: arith.compare_self_power_to_rational(Fraction(0), Fraction(0)),
+            DomainError,
+            "q must be positive, got 0",
+            id="compare_rational_q_before_t",
+        ),
+        pytest.param(
+            lambda mp: arith.compare_self_power_to_rational(Fraction(-1), Fraction(2)),
+            DomainError,
+            "t must be positive, got -1",
+            id="compare_rational_t",
         ),
         pytest.param(
             lambda mp: solver._pair_exponents(Fraction(0), Fraction(1)),

@@ -18,6 +18,7 @@ from selfpower import (
     ResourceError,
     SolutionSet,
     TargetShapeError,
+    classify_preimage,
     commuting_pair,
     compare_self_power_to_root,
     denominator_bound,
@@ -33,6 +34,7 @@ from selfpower import (
     verify_commuting,
     verify_equal_self_powers,
 )
+from selfpower import arith as arith_module
 from selfpower import minpoly
 from selfpower import solver as solver_module
 from selfpower.cli import _MAX_DEGREE
@@ -273,6 +275,36 @@ class TestIntegerScan:
     def test_root_targets(self):
         found, count = integer_scan(target_of(2, 2, 1))
         assert found is None and count == 1  # alpha < 1, so 1^1 already exceeds
+
+    def test_alphas_coprimality_is_proved_once(self, monkeypatch):
+        # the record and the Fraction prove gcd(r, s) = 1 when they are built;
+        # no scan step, hit recheck or certificate probe takes that gcd again,
+        # which for operands this long was nearly all of a scan's work.  3
+        # divides 2^65535 + 1, so both texts reduce to other coprime parts
+        q = Fraction(2**65535 + 1, 3**19000)
+        rational = AlgebraicTarget.from_rational(q)
+        binomial = AlgebraicTarget.from_polynomial(
+            IntPolynomial.from_coefficients([-(2**65535 + 1), 0, 3**19000])
+        )
+        assert binomial.d == 2
+        pairs = {frozenset((target.r, target.s)) for target in (rational, binomial)}
+        real = arith_module.gcd
+        calls = []
+
+        def counting(*args):
+            if frozenset(args) in pairs:
+                calls.append(len(calls))
+            return real(*args)
+
+        monkeypatch.setattr(arith_module, "gcd", counting)
+        assert integer_scan(rational) == (None, 3060)
+        assert solve(rational, cross_check=True).solutions == ()
+        assert solve(binomial, cross_check=True).solutions == ()
+        assert not isinstance(classify_preimage(q, Fraction(1, 1000)), int)
+        assert calls == []
+        # the public comparator still checks a caller's raw r and s
+        compare_self_power_to_root(Fraction(1), 1, rational.r, rational.s)
+        assert calls == [0]
 
 
 class TestDenominatorBound:
