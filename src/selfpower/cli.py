@@ -27,7 +27,8 @@ from .errors import DomainError, ParseError, ResourceError, number_text
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 # degree ceiling for parsed polynomials, enforced on every exponent, product
-# and sum; enumeration beyond this is infeasible anyway
+# and sum, and on every coefficient-list entry; enumeration beyond this is
+# infeasible anyway
 _MAX_DEGREE = 1 << 16
 # ceiling in bits for every integer literal, and for every coefficient: each
 # power is checked before it is formed, each product and sum as it is formed;
@@ -254,22 +255,48 @@ def _parse_expression(text: str) -> dict[int, int]:
     return terms
 
 
+# one entry of a coefficient list: [+-]?\d+ with whitespace (str.isspace)
+# around it; group 1 is the literal
+_ENTRY_RE = re.compile(r"\s*([+-]?\d+)\s*")
+
+
 def _parse_coefficient_list(text: str) -> dict[int, int]:
+    """Coefficients by degree of '[c0, c1, ..., cn]', the constant first,
+    read in one pass: each entry's syntax is checked, and an entry that is
+    exactly '0' goes no further.
+
+    Positions are carried forward by each entry's length: the first entry
+    starts past '[' and its spaces, each later one one past the comma before
+    it.  A bad entry is reported at its start, an empty one at the comma
+    before it (at 1 if it is the first), a literal past the size cap at its
+    first character, and the first entry past the degree cap at its start.
+    """
     if not text.endswith("]"):
         raise ParseError("missing closing ']'", position=len(text))
-    inner = text[1:-1].strip()
+    body = text[1:-1].lstrip()
+    inner = body.rstrip()
     if not inner:
         raise ParseError("empty polynomial", position=1)
-    coeffs = []
-    offset = 1
-    for part in inner.split(","):
-        token = part.strip()
-        start = text.index(part, offset)
-        if not re.fullmatch(r"[+-]?\d+", token):
-            raise ParseError(f"bad integer coefficient {token!r}", position=start)
-        coeffs.append(_int_literal(token, start + len(part) - len(part.lstrip())))
-        offset = start + len(part)
-    return dict(enumerate(coeffs))
+    entries = inner.split(",")
+    terms = {}
+    start = len(text) - 1 - len(body)
+    for n, entry in zip(range(_MAX_DEGREE + 1), entries):
+        match = _ENTRY_RE.fullmatch(entry)
+        if match is None:
+            position = start if entry else start - 1 if n else 1
+            raise ParseError(
+                f"bad integer coefficient {entry.strip()!r}", position=position
+            )
+        if match[1] != "0":
+            terms[n] = _int_literal(match[1], start + match.start(1))
+        start += len(entry) + 1
+    if len(entries) > _MAX_DEGREE + 1:
+        raise ParseError(
+            f"coefficient of degree {_MAX_DEGREE + 1} exceeds the supported "
+            f"degree {_MAX_DEGREE}",
+            position=start if entries[_MAX_DEGREE + 1] else start - 1,
+        )
+    return terms
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -284,8 +285,8 @@ class TestParsePolynomial:
         coeffs = [by_degree.get(k, 0) for k in range(poly.degree + 1)]
         assert IntPolynomial.from_coefficients(coeffs) == poly
         assert IntPolynomial.from_coefficients(coeffs + [0, 0]) == poly
-        if poly.degree <= 4096:  # a bracket list costs ~2 us per entry
-            assert parse_polynomial(f"[{', '.join(map(str, coeffs))}]") == poly
+        # the dense list, up to the degree cap: about 0.4 us per entry
+        assert parse_polynomial(f"[{', '.join(map(str, coeffs))}]") == poly
 
     def test_fraction_rendering(self):
         assert format_fraction(Fraction(3, 1)) == "3"
@@ -491,6 +492,125 @@ class TestLiteralSyntax:
         ]
         (width,) = [a for a in commands.choices["classify"]._actions if a.dest == "width"]
         assert width.help.endswith(f"(default {format_fraction(DEFAULT_WIDTH)})")
+
+
+def _reference_coefficient_list(text):
+    """The coefficient-list reader as it was before it read in one pass: each
+    entry is found again with str.index, checked with re.fullmatch and
+    converted, zeros included.  It has no degree cap."""
+    if not text.endswith("]"):
+        raise ParseError("missing closing ']'", position=len(text))
+    inner = text[1:-1].strip()
+    if not inner:
+        raise ParseError("empty polynomial", position=1)
+    coeffs = []
+    offset = 1
+    for part in inner.split(","):
+        token = part.strip()
+        start = text.index(part, offset)
+        if not re.fullmatch(r"[+-]?\d+", token):
+            raise ParseError(f"bad integer coefficient {token!r}", position=start)
+        coeffs.append(cli._int_literal(token, start + len(part) - len(part.lstrip())))
+        offset = start + len(part)
+    return dict(enumerate(coeffs))
+
+
+# the characters of the drawn list texts: signs, ASCII, Arabic-Indic and
+# fullwidth digits, spaces, commas, brackets and strays; the digits and
+# commas come often, so most entries are literals and some texts parse
+_LIST_CHARS = (
+    "+-−" + "0123456789" * 2 + "000" + "٠٣٩" + "０５"
+    + " " * 4 + "\t\x85\xa0\x1c\x1d\x1e\x1f" + "," * 8 + "[]x_"
+)
+
+
+def _list_text(rng):
+    """A text near a coefficient list: spaces, '[', up to 16 drawn characters,
+    mostly a ']', spaces."""
+    head = rng.choice(["", "", " ", "\t"]) + "["
+    body = "".join(rng.choices(_LIST_CHARS, k=rng.randrange(17)))
+    return head + body + ("]" if rng.random() < 0.9 else "") + rng.choice(["", " "])
+
+
+def _outcome(text):
+    try:
+        return parse_polynomial(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestCoefficientList:
+    """The coefficient list is read in one pass, straight to its nonzero
+    terms, and keeps the reference reader's results and error positions."""
+
+    def test_agrees_with_the_reference_reader(self, monkeypatch):
+        rng = random.Random(2026)
+        texts = [_list_text(rng) for _ in range(100_000)]
+        monkeypatch.setattr(cli, "_parse_coefficient_list", _reference_coefficient_list)
+        expected = [_outcome(text) for text in texts]
+        monkeypatch.undo()
+        accepted = 0
+        for text, want in zip(texts, expected):
+            assert _outcome(text) == want, text
+            accepted += isinstance(want, IntPolynomial)
+        assert 10_000 < accepted < 90_000  # both sides are well covered
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("[1,,2]", 2),  # an empty entry stands at the comma before it
+            ("[  ,1]", 1),  # or at 1 if it is the first
+            ("[1, ]", 2),
+            ("[1, , 2]", 3),  # a blank entry is not empty: one past its comma
+            ("[  x, 1]", 3),  # the first entry past '[' and its spaces
+            ("[1,  x]", 3),  # a later one one past its comma
+        ],
+    )
+    def test_positions_of_bad_entries(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert exc.value.position == position
+        assert str(exc.value).startswith("bad integer coefficient ")
+
+    def test_zero_entries_are_checked_and_skipped(self, monkeypatch):
+        calls = []
+
+        def counting(text, position):
+            calls.append(text)
+            return int_literal(text, position)
+
+        int_literal = cli._int_literal
+        monkeypatch.setattr(cli, "_int_literal", counting)
+        text = "[-1, " + "0, " * 65535 + "2]"
+        assert parse_polynomial(text).terms == ((65536, 2), (0, -1))
+        assert calls == ["-1", "2"]  # not once per entry
+        # every zero's syntax is still checked
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text.replace("0, 2]", "0x, 2]"))
+        assert str(exc.value) == f"bad integer coefficient '0x' (at position {len(text) - 6})"
+
+    def test_degree_cap(self):
+        # 65,537 entries reach degree 65536; the next entry is refused at its
+        # start, as x^65537 is refused at its exponent
+        cap = cli._MAX_DEGREE
+        at_cap = "[-1, " + "0, " * (cap - 1) + "2]"
+        assert parse_polynomial(at_cap).terms == ((cap, 2), (0, -1))
+        past = at_cap[:-1] + ", 3]"
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(past)
+        assert str(exc.value) == (
+            f"coefficient of degree {cap + 1} exceeds the supported degree {cap} "
+            f"(at position {len(at_cap)})"
+        )
+        # a zero entry past the cap is refused too, and an empty one at its comma
+        for tail, position in ((", 0]", len(at_cap)), (",]", len(at_cap) - 1)):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(at_cap[:-1] + tail)
+            assert exc.value.position == position
+        # an entry refused before the cap is reported first
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("[x" + ", 0" * (cap + 5) + "]")
+        assert str(exc.value) == "bad integer coefficient 'x' (at position 1)"
 
 
 class TestGoldenOutputs:
@@ -822,6 +942,9 @@ _ADVERSARIAL = [
     ),
     pytest.param(["solve", "--alpha", f"{_LONG}*x^2 - 1"], 30, id="long-term"),
     pytest.param(["solve", "--alpha", f"[-1, 0, {_LONG}]"], 30, id="long-coefficient"),
+    # the densest list one argument holds on Linux (131,071 bytes at most):
+    # 131,070 bytes, degree 65,533
+    pytest.param(["solve", "--alpha", "[-1," + "0," * 65532 + "2]"], 5, id="densest-list"),
     pytest.param(["minpoly", f"1/{_LONG}"], 30, id="long-fraction"),
     pytest.param(
         ["classify", "--q", "2", "--width", f"1/{_LONG}"], 30, id="long-width"
