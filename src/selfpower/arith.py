@@ -775,16 +775,17 @@ def compare_power_products(
     self-power comparators do), and inputs that stay indistinguishable at the
     maximum precision raise ResourceError.
     """
-    left = [(b, e) for b, e in lhs if b != 1 and e != 0]
-    right = [(b, e) for b, e in rhs if b != 1 and e != 0]
-    for b, e in left + right:
+    lhs, rhs = list(lhs), list(rhs)
+    for b, e in lhs + rhs:
         if b < 1 or e < 0:
             raise DomainError("power products need bases >= 1 and exponents >= 0")
+    left = [(b, e) for b, e in lhs if b != 1 and e != 0]
+    right = [(b, e) for b, e in rhs if b != 1 and e != 0]
     bits = max(
         sum(e * b.bit_length() for b, e in left),
         sum(e * b.bit_length() for b, e in right),
     )
-    if bits <= min(_DIRECT_BITS, BIT_CAP):
+    if bits <= _DIRECT_BITS:
         return _materialised_order(left, right)
     rung = _LOG_START_PRECISION
     while rung < min(prec, _MAX_LOG_PRECISION):
@@ -807,18 +808,16 @@ def _require_positive(q: Fraction, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {number_text(q)}")
 
 
-def compare_self_power_to_root(
-    t: Fraction, d: int, r: int, s: int, *, prec: int = _LOG_START_PRECISION
-) -> Ordering:
+def compare_self_power_to_root(t: Fraction, d: int, r: int, s: int) -> Ordering:
     """Exact order of t**t versus the positive real d-th root of r/s.
 
     Requires t > 0, d >= 1, r, s >= 1 with gcd(r, s) = 1.  Raising both sides
     to the b*d-th power turns the question into the integer comparison
     a^(a*d) * s^b vs b^(a*d) * r^b; equality splits into a^(a*d) = r^b and
     b^(a*d) = s^b, each tested exactly only where its two sides can have the
-    same bit length.  prec is the start precision compare_power_products
-    takes.  These checks are for a caller's raw (t, d, r, s): a scan's
-    BinomialMinPoly, or a Fraction q, proved gcd(r, s) = 1 when it was built.
+    same bit length.  These checks are for a caller's raw (t, d, r, s): a
+    scan's BinomialMinPoly, or a Fraction q, proved gcd(r, s) = 1 when it was
+    built.
     """
     _require_positive(t, "t")
     if d < 1 or r < 1 or s < 1:
@@ -827,7 +826,7 @@ def compare_self_power_to_root(
         raise DomainError(
             f"r and s must be coprime, got gcd({number_text(r)}, {number_text(s)}) != 1"
         )
-    return _compare_to_reduced_root(t, d, r, s, prec)
+    return _compare_to_reduced_root(t, d, r, s)
 
 
 def _compare_to_reduced_root(t, d, r, s, prec=_LOG_START_PRECISION) -> Ordering:
@@ -850,8 +849,9 @@ def compare_self_power_to_rational(
     t: Fraction, q: Fraction, *, prec: int = _LOG_START_PRECISION
 ) -> Ordering:
     """Exact order of t**t versus the rational q = m/n, both positive: the
-    d = 1 case of compare_self_power_to_root, with the same start precision
-    prec.  A Fraction is reduced when built, so gcd(m, n) is not taken again."""
+    d = 1 case of compare_self_power_to_root.  prec is the start precision
+    compare_power_products takes, as a certificate probe asks for.  A Fraction
+    is reduced when built, so gcd(m, n) is not taken again."""
     _require_positive(q, "q")
     _require_positive(t, "t")
     return _compare_to_reduced_root(t, 1, q.numerator, q.denominator, prec)

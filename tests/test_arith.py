@@ -764,6 +764,13 @@ _ROOT_CASES = [
 ]
 
 
+def _multiply_nothing_out(monkeypatch):
+    """Every comparison on the log2 ladder: no product is small enough to
+    multiply out first, and none fits under the bit cap afterwards."""
+    monkeypatch.setattr(arith, "_DIRECT_BITS", 0)
+    monkeypatch.setattr(arith, "BIT_CAP", 1)
+
+
 class TestSelfPowerComparators:
     def test_rational_examples(self):
         assert (
@@ -836,7 +843,7 @@ class TestSelfPowerComparators:
             for _ in range(300)
         ]
         direct = [compare_self_power_to_rational(t, q) for t, q in cases]
-        monkeypatch.setattr(arith, "BIT_CAP", 1)
+        _multiply_nothing_out(monkeypatch)
         assert [compare_self_power_to_rational(t, q) for t, q in cases] == direct
 
 
@@ -849,9 +856,14 @@ class TestComparePowerProducts:
         with pytest.raises(DomainError):
             compare_power_products([(0, 1)], [(2, 1)])
 
+    def test_takes_iterables(self):
+        # each side is read once, so a generator serves as well as a list
+        lhs = ((b, 1) for b in (2, 3))
+        assert compare_power_products(lhs, iter([(5, 1)])) is Ordering.GREATER
+
     def test_equal_products_on_the_log_path_name_the_precision_cap(self, monkeypatch):
         # 2^2 = 4^1: equal enclosures at every precision up to the cap
-        monkeypatch.setattr(arith, "BIT_CAP", 1)
+        _multiply_nothing_out(monkeypatch)
         with pytest.raises(ResourceError) as exc:
             compare_power_products([(2, 2)], [(4, 1)])
         assert str(exc.value) == (
@@ -988,9 +1000,9 @@ class TestStartPrecision:
     def test_start_is_the_first_rung_at_or_above_prec_clamped_at_the_cap(
         self, monkeypatch, tried_rungs, prec, first
     ):
-        # 2^2 = 4^1 past a bit cap of 1: every rung overlaps, so the ladder
-        # is climbed from the start to the cap and only then refused
-        monkeypatch.setattr(arith, "BIT_CAP", 1)
+        # 2^2 = 4^1 with nothing multiplied out: every rung overlaps, so the
+        # ladder is climbed from the start to the cap and only then refused
+        _multiply_nothing_out(monkeypatch)
         with pytest.raises(ResourceError) as exc:
             compare_power_products([(2, 2)], [(4, 1)], prec=prec)
         assert str(exc.value) == (
@@ -1004,5 +1016,5 @@ class TestStartPrecision:
         default = compare_self_power_to_rational(t, Fraction(2))
         assert tried_rungs == [64]
         assert compare_self_power_to_rational(t, Fraction(2), prec=200) is default
-        assert compare_self_power_to_root(t, 1, 2, 1, prec=1000) is default
+        assert compare_self_power_to_rational(t, Fraction(2), prec=1000) is default
         assert tried_rungs == [64, 256, 1024]

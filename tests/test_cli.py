@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import selfpower
 from selfpower import BinomialMinPoly, DomainError, IntPolynomial, ParseError
-from selfpower import cli
+from selfpower import cli, minpoly
 from selfpower.cli import (
     _format_binomial,
     format_fraction,
@@ -899,12 +899,31 @@ class TestExitCodes:
             }
 
 
-# inputs from the ROADMAP's baseline table that used to hang or crawl, and
-# inputs that used to crash (exit 1); each must finish under its time limit
-# with exit 0 or a typed error (2, 3, 4)
+# inputs from the ROADMAP's baseline table that used to hang or crawl, inputs
+# that used to crash (exit 1), and the paper's objects at the caps: the one
+# table of timed adversarial commands.  Each row gives argv, a time limit in
+# seconds, the exact exit code and a text that must appear: in stdout when
+# the command succeeds, otherwise in the error JSON, where it names the cap.
 _F7 = 2**128 + 1
 # past the interpreter's default 4300-digit int/str limit, within the literal cap
 _LONG = "7" * 4400
+_COEFFICIENT_CAP = "exceeds the supported coefficient size of 65536 bits"
+
+
+def _cofactor_refused(bits: int) -> str:
+    return (
+        f"a cofactor of {bits} bits without prime factors up to 1000000 that is no "
+        "perfect power exceeds the 1024-bit cofactor cap"
+    )
+
+
+def _past_bit_cap(bits: str) -> str:
+    return f"needs about {bits} bits, past the bit cap of 1048576 bits"
+
+
+def _scanned_to(n: int) -> str:
+    # a certificate's statement names the last integer its scan compared
+    return f"the scan over n = 1..{n} shows"
 
 
 def _residue_filter_passer() -> int:
@@ -924,90 +943,224 @@ def _residue_filter_passer() -> int:
     return 1 + m * (2 ** (65534 - m.bit_length()) + 12346)
 
 
+_FILTER_PASSER = _residue_filter_passer()
 with _every_digit():
     _LARGEST = str(2**65536 - 1)  # the largest literal, 19729 digits
     _BELOW = str(2**65536 - 2)
-    _FILTER_PASSER = str(_residue_filter_passer())  # 19,728 digits
-    _R = str(2**65535 + 1)  # 19729 digits
-    _RATIONAL = f"{_R}/{3**19000}"  # over 9066 digits
+    # power_gcd tests the smaller operand for perfect powers first and
+    # stops at g = 1: over 2 it never reaches n, over 2^65535 it tests n
+    _FILTER_FRACTION = f"{_FILTER_PASSER}/{2**65535}"
+    _R = 2**65535 + 1  # 19729 digits, divisible by 9 and not by 27
+    _RATIONAL = f"{_R}/{3**19000}"
+    _BINOMIAL = f"3^19000*x^2 - {_R}"
+    _REDUCED = f"{_R // 9}/{3**18998}"
+    _REDUCED_BINOMIAL = f"{3**18998}*x^2 - {_R // 9}"
+    _LONG_MINPOLY = f'{{"d": {_LONG}, "r": 1, "s": {_LONG}}}'
+    _LARGEST_MINPOLY = f'{{"d": {_LARGEST}, "r": 1, "s": {_LARGEST}}}'
+    _PRIME_POWER = f"positive root of {1000003**3000}*x^2 - 2"
+    _SMALL_PRIME_POWER = f"positive root of {3**40000}*x^2 - 2"
 _ADVERSARIAL = [
-    pytest.param(["solve", "--alpha", "x^200-2", "--verify-both"], 30, id="x^200-2"),
-    pytest.param(["solve", "--alpha", "x^20000 - 3"], 30, id="x^20000"),
-    pytest.param(["solve", "--alpha", "x^65536 - 3"], 30, id="x^65536"),
-    pytest.param(["solve", "--alpha", "x^9000*x^9000*x^9000 - 3"], 30, id="3*9000"),
-    pytest.param(["solve", "--alpha", "x^60000*x^60000*x^60000 - 3"], 30, id="3*60000"),
-    pytest.param(["solve", "--alpha", f"{_F7}*x^2 - 1"], 30, id="F7"),
     pytest.param(
-        ["classify", "--q", "2", "--width", "1/1" + "0" * 300], 60, id="classify-1e-300"
+        ["solve", "--alpha", "x^200-2", "--verify-both"],
+        30, 0, "positive root of x^200 - 2",
+        id="x^200-2",
     ),
-    pytest.param(["solve", "--alpha", f"{_LONG}*x^2 - 1"], 30, id="long-term"),
-    pytest.param(["solve", "--alpha", f"[-1, 0, {_LONG}]"], 30, id="long-coefficient"),
+    pytest.param(
+        ["solve", "--alpha", "x^20000 - 3"], 30, 0, "positive root of x^20000 - 3", id="x^20000"
+    ),
+    pytest.param(
+        ["solve", "--alpha", "x^65536 - 3"], 30, 0, "positive root of x^65536 - 3", id="x^65536"
+    ),
+    pytest.param(
+        ["solve", "--alpha", "x^9000*x^9000*x^9000 - 3"],
+        30, 0, "positive root of x^27000 - 3",
+        id="3*9000",
+    ),
+    pytest.param(
+        ["solve", "--alpha", "x^60000*x^60000*x^60000 - 3"],
+        30, 2, "product of degree 120000 exceeds the supported degree 65536",
+        id="3*60000",
+    ),
+    # README's caps list names F7 = 2^128 + 1 as the coefficient that spends
+    # the rho budget: about 0.8 s, then exit 4 naming the budget
+    pytest.param(
+        ["solve", "--alpha", f"{_F7}*x^2 - 1"],
+        10, 4, "factorization budget of 500000 rho iterations exhausted on a 129-bit",
+        id="F7",
+    ),
+    # a width of 10^-300 makes ~1000 probes of the cell search on the log2
+    # path and 10^-600 ~2000, each starting its enclosures at the precision
+    # its bracket needs; each answers in a second or less, so a minute means
+    # the enclosures slid back towards the square-and-extract cost or the
+    # probes towards the top of the precision ladder
+    pytest.param(
+        ["classify", "--q", "2", "--width", "1/1" + "0" * 300],
+        60, 0, _scanned_to(2),
+        id="classify-1e-300",
+    ),
+    pytest.param(
+        ["classify", "--q", "3/2", "--width", "1/1" + "0" * 600],
+        60, 0, _scanned_to(2),
+        id="classify-3/2-1e-600",
+    ),
+    pytest.param(
+        ["classify", "--q", "100000000000000000001", "--width", "1/1" + "0" * 600],
+        60, 0, _scanned_to(17),
+        id="classify-1e20+1-1e-600",
+    ),
+    # q past 2^10000 takes more halvings of [1, q] than the probe cap allows,
+    # but the cell search probes only inside (n - 1, n): about ten probes
+    pytest.param(
+        ["classify", "--q", "1" + "0" * 3699 + "1", "--width", "1/1000"],
+        10, 0, _scanned_to(1202),
+        id="classify-1e3699+1",
+    ),
+    pytest.param(
+        ["classify", "--q", "1" + "0" * 18999 + "1", "--width", "1/1000"],
+        10, 0, _scanned_to(5123),
+        id="classify-1e18999+1",
+    ),
+    pytest.param(
+        ["solve", "--alpha", f"{_LONG}*x^2 - 1"], 30, 4, _cofactor_refused(14216), id="long-term"
+    ),
+    pytest.param(
+        ["solve", "--alpha", f"[-1, 0, {_LONG}]"],
+        30, 4, _cofactor_refused(14216),
+        id="long-coefficient",
+    ),
     # the densest list one argument holds on Linux (131,071 bytes at most):
-    # 131,070 bytes, degree 65,533
-    pytest.param(["solve", "--alpha", "[-1," + "0," * 65532 + "2]"], 5, id="densest-list"),
-    pytest.param(["minpoly", f"1/{_LONG}"], 30, id="long-fraction"),
+    # 131,070 bytes, degree 65,533.  Each entry's start is carried forward
+    # from the one before; a reader that searched the text from the front
+    # for each entry would be quadratic
     pytest.param(
-        ["classify", "--q", "2", "--width", f"1/{_LONG}"], 30, id="long-width"
+        ["solve", "--alpha", "[-1," + "0," * 65532 + "2]"],
+        5, 0, "positive root of 2*x^65533 - 1",
+        id="densest-list",
+    ),
+    pytest.param(["minpoly", f"1/{_LONG}"], 30, 0, _LONG_MINPOLY, id="long-fraction"),
+    pytest.param(
+        ["classify", "--q", "2", "--width", f"1/{_LONG}"],
+        30, 4, "needs 14617 probes, past the cap of 10000 probes",
+        id="long-width",
     ),
     pytest.param(
-        ["classify", "--q", "2", "--width", "1/1" + "0" * 3100], 10, id="classify-1e-3100"
+        ["classify", "--q", "2", "--width", "1/1" + "0" * 3100],
+        10, 4, "needs 10298 probes, past the cap of 10000 probes",
+        id="classify-1e-3100",
+    ),
+    # refused when read, so the reduction its name promises is never reached;
+    # reducible-at-caps below reaches it
+    pytest.param(
+        ["solve", "--alpha", "99999999999^65536*x^2 - 1"],
+        30, 2, f"power 99999999999^65536 {_COEFFICIENT_CAP}",
+        id="huge-reducible",
+    ),
+    # the largest reducible target inside the parser caps reduces to the
+    # minimal polynomial of its root; the reduction tries only the prime
+    # exponents dividing d = 2^16
+    pytest.param(
+        ["solve", "--alpha", "3^32768*x^65536 - 2^32768"],
+        10, 0, "positive root of 3*x^2 - 2",
+        id="reducible-at-caps",
     ),
     pytest.param(
-        ["solve", "--alpha", "99999999999^65536*x^2 - 1"], 30, id="huge-reducible"
+        ["solve", "--alpha", "1000003^3000*x^2 - 2"], 30, 0, _PRIME_POWER, id="huge-prime-power"
+    ),
+    # the 59,795-bit cofactor is the cube of a 19,932-bit one
+    pytest.param(
+        ["solve", "--alpha", "1000003^2997*1000033^3*x^2 - 2"],
+        30, 4, _cofactor_refused(19932),
+        id="huge-cube",
     ),
     pytest.param(
-        ["solve", "--alpha", "1000003^3000*x^2 - 2"], 30, id="huge-prime-power"
+        ["solve", "--alpha", "1000003^3000*1000033*x^2 - 2"],
+        30, 4, _cofactor_refused(59815),
+        id="huge-cofactor",
     ),
     pytest.param(
-        ["solve", "--alpha", "1000003^2997*1000033^3*x^2 - 2"], 30, id="huge-cube"
+        ["solve", "--alpha", "3^40000*x^2 - 2"], 30, 0, _SMALL_PRIME_POWER,
+        id="huge-small-prime-power",
     ),
     pytest.param(
-        ["solve", "--alpha", "1000003^3000*1000033*x^2 - 2"], 30, id="huge-cofactor"
-    ),
-    pytest.param(["solve", "--alpha", "3^40000*x^2 - 2"], 30, id="huge-small-prime-power"),
-    pytest.param(
-        ["solve", "--alpha", "2^65535*x + 2^65535*x - 1"], 30, id="sum-past-cap"
+        ["solve", "--alpha", "2^65535*x + 2^65535*x - 1"],
+        30, 2, f"sum coefficient of 65537 bits {_COEFFICIENT_CAP}",
+        id="sum-past-cap",
     ),
     pytest.param(
         ["powcheck", "--poly", "x^65536 + 1", "--x", "99999/99998"],
-        10,
+        10, 4, _past_bit_cap("1114113"),
         id="value-past-bit-cap",
     ),
-    # just inside the bit cap: 983,041 bits, written in ~296,000 digits
+    # just inside the bit cap: 983,041 bits, written in ~296,000 digits; the
+    # text closes the answer, so all of it was written
     pytest.param(
         ["powcheck", "--poly", "x^65536 + 1", "--x", "32767/32766"],
-        9,
+        9, 0, '"rational": null}',
         id="value-at-bit-cap",
     ),
     # x and y with numerators and denominators of about 952,000 bits, written
     # in decimal: 8.7 s when str wrote them (2 cores, Python 3.11)
-    pytest.param(["pairs", "--m", "60000"], 5, id="pair-at-bit-cap"),
     pytest.param(
-        ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"], 10, id="sweep-a"
+        ["pairs", "--m", "60000"], 5, 0, '"m": 60000, "verified": true', id="pair-at-bit-cap"
     ),
-    pytest.param(["classify", "--q", _LARGEST], 10, id="classify-at-literal-cap"),
     pytest.param(
-        ["classify", "--q", f"{_LARGEST}/{_BELOW}"], 10, id="classify-near-1-at-cap"
+        ["powsearch", "--poly", "2*x", "--a-max", "1000000000000"],
+        10, 4, "has 4000000000000 points, past the cap of 1048576 points",
+        id="sweep-a",
     ),
-    pytest.param(["minpoly", f"{_LARGEST}/2"], 10, id="minpoly-at-literal-cap"),
-    pytest.param(["minpoly", f"1/{_LARGEST}"], 10, id="minpoly-1/at-literal-cap"),
+    pytest.param(
+        ["classify", "--q", _LARGEST], 10, 0, _scanned_to(5298), id="classify-at-literal-cap"
+    ),
+    pytest.param(
+        ["classify", "--q", f"{_LARGEST}/{_BELOW}"],
+        10, 0, _scanned_to(2),
+        id="classify-near-1-at-cap",
+    ),
+    # both denominator bounds are exact at every size: at the literal cap each
+    # takes one logarithm enclosure of about 65,600 bits, about 2 s
+    pytest.param(
+        ["bound", "--degree", _LARGEST],
+        10, 0, '{"bound": 3640501527980196670214',
+        id="bound-degree-at-literal-cap",
+    ),
+    pytest.param(
+        ["bound", "--leading", _LARGEST],
+        10, 0, '{"bound": 3939100125574292697866',
+        id="bound-leading-at-literal-cap",
+    ),
+    pytest.param(
+        ["minpoly", f"{_LARGEST}/2"],
+        10, 4, "(<65536-bit integer>/2) " + _past_bit_cap("<65553-bit integer>"),
+        id="minpoly-at-literal-cap",
+    ),
+    pytest.param(
+        ["minpoly", f"1/{_LARGEST}"], 10, 0, _LARGEST_MINPOLY, id="minpoly-1/at-literal-cap"
+    ),
     # exits 4 on the bit cap after the perfect-power test of n: 11.5 s when
     # the residue filter passed n for every prime exponent up to 10103
-    pytest.param(["minpoly", f"{_FILTER_PASSER}/2"], 3, id="minpoly-residue-filter-passer"),
+    pytest.param(
+        ["minpoly", _FILTER_FRACTION],
+        3, 4, "(<65534-bit integer>/<65536-bit integer>) " + _past_bit_cap("<65551-bit integer>"),
+        id="minpoly-residue-filter-passer",
+    ),
     pytest.param(
         ["powsearch", "--poly", "x", "--a-max", "5", "--b-max", "100000000000"],
-        10,
+        10, 4, "has 499999999995 points, past the cap of 1048576 points",
         id="sweep-b",
     ),
     # 5-13 s when every scan step and probe took the gcd of alpha's long
-    # numerator and denominator again
-    pytest.param(["solve", "--alpha", _RATIONAL], 3, id="solve-long-rational"),
+    # numerator and denominator again; the record proves it once
     pytest.param(
-        ["classify", "--q", _RATIONAL, "--width", "1/1000"], 3, id="classify-long-rational"
+        ["solve", "--alpha", _RATIONAL], 3, 0, f'"alpha": "{_REDUCED}"', id="solve-long-rational"
     ),
     pytest.param(
-        ["solve", "--alpha", f"3^19000*x^2 - {_R}", "--verify-both"],
-        3,
+        ["classify", "--q", _RATIONAL, "--width", "1/1000"],
+        3, 0, _scanned_to(3060),
+        id="classify-long-rational",
+    ),
+    pytest.param(
+        ["solve", "--alpha", _BINOMIAL, "--verify-both"],
+        3, 0, f"positive root of {_REDUCED_BINOMIAL}",
         id="solve-long-binomial",
     ),
 ]
@@ -1133,16 +1286,37 @@ def test_startup_leaves_heavy_modules_unloaded():
         assert last == repr(([], sorted(expected))), argv
 
 
+_KINDS = {2: "parse", 3: "domain", 4: "resource"}
+
+
 class TestAdversarialInputs:
-    @pytest.mark.parametrize("argv, limit", _ADVERSARIAL)
-    def test_finishes_or_fails_typed(self, argv, limit):
+    @pytest.mark.parametrize("argv, limit, code, text", _ADVERSARIAL)
+    def test_finishes_or_fails_typed(self, argv, limit, code, text):
         proc = run_module(argv, limit)
-        assert proc.returncode in (0, 2, 3, 4), proc.stderr
-        if proc.returncode:
-            assert "kind" in json.loads(proc.stderr)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            error = json.loads(proc.stderr)
+            assert error["kind"] == _KINDS[code]
+            assert text in error["error"], error
         else:
             with _every_digit():  # an answer may hold integers of any length
                 json.loads(proc.stdout)
+            assert text in proc.stdout
+
+    def test_residue_filter_passer_is_tested_for_powers(self, capsys, monkeypatch):
+        # the row is there for the perfect-power walk over n; over a small
+        # denominator power_gcd stops at g = 1 before it reaches n
+        argv = next(p.values[0] for p in _ADVERSARIAL if p.id == "minpoly-residue-filter-passer")
+        tested = []
+
+        def recording(n, *args):
+            tested.append(n)
+            return real(n, *args)
+
+        real = minpoly._as_perfect_power
+        monkeypatch.setattr(minpoly, "_as_perfect_power", recording)
+        run_cli(capsys, [*argv, "--json"], expect_exit=4)
+        assert _FILTER_PASSER in tested, [n.bit_length() for n in tested]
 
 
 def test_closed_stdout_exits_quietly():

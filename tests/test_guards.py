@@ -151,6 +151,26 @@ def _sweep_past_a_low_bound(monkeypatch):
             id="ln_interval",
         ),
         pytest.param(
+            # a pair that leaves the product unchanged is checked before it
+            # is dropped
+            lambda mp: arith.compare_power_products([(-5, 0)], []),
+            DomainError,
+            "power products need bases >= 1 and exponents >= 0",
+            id="power_product_zero_exponent",
+        ),
+        pytest.param(
+            lambda mp: arith.compare_power_products([], [(1, -3)]),
+            DomainError,
+            "power products need bases >= 1 and exponents >= 0",
+            id="power_product_unit_base",
+        ),
+        pytest.param(
+            lambda mp: arith.compare_power_products([(0, 0)], []),
+            DomainError,
+            "power products need bases >= 1 and exponents >= 0",
+            id="power_product_zero_power_of_zero",
+        ),
+        pytest.param(
             lambda mp: arith.compare_self_power_to_root(Fraction(1), 0, 1, 1),
             DomainError,
             "root comparison needs d, r, s >= 1",
