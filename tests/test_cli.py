@@ -7,7 +7,6 @@ import math
 import os
 import random
 import re
-import shlex
 import subprocess
 import sys
 import time
@@ -31,6 +30,7 @@ from selfpower.cli import (
     parse_rational,
 )
 from selfpower.errors import DECIMAL_TEXT_BITS
+from test_corpus import readme_commands
 
 
 @contextmanager
@@ -1048,11 +1048,11 @@ _ADVERSARIAL = [
         10, 4, "needs 10298 probes, past the cap of 10000 probes",
         id="classify-1e-3100",
     ),
-    # refused when read, so the reduction its name promises is never reached;
-    # reducible-at-caps below reaches it
+    # s = 99999999999^1792, 65,482 bits, is the square of an integer, so the
+    # target reduces to the rational 1/99999999999^896 before any scan
     pytest.param(
-        ["solve", "--alpha", "99999999999^65536*x^2 - 1"],
-        30, 2, f"power 99999999999^65536 {_COEFFICIENT_CAP}",
+        ["solve", "--alpha", "99999999999^1792*x^2 - 1"],
+        30, 0, '"method": "enumeration", "scan_count": 1, "solutions": []}',
         id="huge-reducible",
     ),
     # the largest reducible target inside the parser caps reduces to the
@@ -1264,12 +1264,7 @@ def test_startup_leaves_heavy_modules_unloaded():
     # in inspect, ast, dis and tokenize, and each selfpower module a command
     # does not run is compiled for nothing where no bytecode is cached
     root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text().splitlines()
-    commands = [
-        shlex.split(line, comments=True)[1:]
-        for line in readme
-        if line.startswith("selfpower ")
-    ]
+    commands = [argv for argv, _ in readme_commands()]
     assert commands
     for argv in commands:
         proc = subprocess.run(
@@ -1317,6 +1312,11 @@ class TestAdversarialInputs:
         monkeypatch.setattr(minpoly, "_as_perfect_power", recording)
         run_cli(capsys, [*argv, "--json"], expect_exit=4)
         assert _FILTER_PASSER in tested, [n.bit_length() for n in tested]
+
+    def test_huge_reducible_is_reduced_by_a_square(self):
+        # the row's target s*x^2 - 1 reduces by g = gcd(2, k_s) = 2, k_s the
+        # largest k with s = 99999999999^1792 a perfect k-th power
+        assert minpoly.power_gcd(1, 99999999999**1792, 2) == 2
 
 
 def test_closed_stdout_exits_quietly():
@@ -1421,8 +1421,8 @@ class TestMinpolyWithoutFactorization:
             assert json.loads(proc.stdout) == {"d": b, "r": 1, "s": b}
 
 
-class TestConfiguration:
-    def test_factor_budget_flag(self, capsys):
+class TestBudgetAndWidth:
+    def test_semiprime_past_the_rho_budget_is_4(self, capsys):
         # the fixed rho budget cannot split a 240-bit semiprime
         p = 1_225_940_852_714_443_485_428_456_866_477_129_349
         q = 947_243_141_625_855_928_478_791_872_949_100_783
@@ -1431,7 +1431,7 @@ class TestConfiguration:
         )
         assert json.loads(err)["kind"] == "resource"
 
-    def test_classify_width_flag(self, capsys):
+    def test_classify_width_bounds_the_interval(self, capsys):
         out, _ = run_cli(
             capsys, ["classify", "--q", "2", "--width", "1/4", "--json"]
         )

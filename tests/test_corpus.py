@@ -6,11 +6,15 @@ sha256 of its cases' hashes in corpus order.  A change that moves any output
 byte or exit code moves its family's digest.  On a mismatch the test prints
 every case's hash next to its argv, so two checkouts' listings diff down to
 the cases that moved.
+
+README's commands, the first cases, are also checked against the outputs
+README documents for them.
 """
 
 import hashlib
 import io
 import json
+import re
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -43,12 +47,46 @@ _TOO_LONG = "1" * 19730  # refused before it is converted
 _WIDTHS = ["1/1000000000", "1/1" + "0" * 40, "1/1" + "0" * 150, "1/1024", f"1/{2**77}"]
 
 
-def _readme_commands() -> list[list[str]]:
-    return [
-        shlex.split(line, comments=True)[1:]
-        for line in _README.read_text().splitlines()
-        if line.startswith("selfpower ")
-    ]
+def readme_commands() -> list[tuple[list[str], str | None]]:
+    """Each `selfpower ...` line of README's code blocks, in order: its argv,
+    and the output documented on the next line when that line starts with
+    `# {`, less the `# ` and any `# comment` after the closing brace."""
+    lines = _README.read_text().splitlines()
+    commands = []
+    in_block = False
+    for line, following in zip(lines, [*lines[1:], ""]):
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("selfpower "):
+            documented = None
+            if following.startswith("# {"):
+                documented = re.sub(r"\}\s+#.*$", "}", following[2:])
+            commands.append((shlex.split(line, comments=True)[1:], documented))
+    return commands
+
+
+def test_every_readme_command_lies_in_a_code_block():
+    # a command outside a code block would escape the output check below and
+    # the corpus
+    lines = [line for line in _README.read_text().splitlines() if line.startswith("selfpower ")]
+    assert len(readme_commands()) == len(lines) > 0
+
+
+def test_readme_commands_print_their_documented_outputs():
+    # each README command exits 0, and one with a documented output prints
+    # exactly that line
+    faults = []
+    documented_outputs = 0
+    for argv, documented in readme_commands():
+        out, err, code = _run(argv)
+        if code != 0:
+            faults.append((argv, code, err))
+        elif documented is not None:
+            documented_outputs += 1
+            if out != documented + "\n":
+                faults.append((argv, out, documented))
+    assert not faults
+    assert documented_outputs > 0
 
 
 def _solve() -> list[list[str]]:
@@ -194,21 +232,27 @@ def corpus() -> dict[str, list[list[str]]]:
     """The argv lists of each family, a family being the command name."""
     families: dict[str, list[list[str]]] = {}
     for argv in (
-        _readme_commands() + _solve() + _minpolys() + _classify() + _others() + _caps()
+        [argv for argv, _ in readme_commands()]
+        + _solve() + _minpolys() + _classify() + _others() + _caps()
     ):
         families.setdefault(argv[0], []).append(argv)
     return families
 
 
-def run_case(argv: list[str]) -> str:
-    """sha256 of (argv, stdout, stderr, exit code) of one in-process run."""
+def _run(argv: list[str]) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    record = json.dumps([argv, out.getvalue(), err.getvalue(), code])
+    return out.getvalue(), err.getvalue(), code
+
+
+def run_case(argv: list[str]) -> str:
+    """sha256 of (argv, stdout, stderr, exit code) of one in-process run."""
+    record = json.dumps([argv, *_run(argv)])
     return hashlib.sha256(record.encode()).hexdigest()
 
 

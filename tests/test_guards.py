@@ -1,4 +1,9 @@
-"""The checks that guard answers raise, also under python -O, when a comparator lies."""
+"""The checks that guard answers raise, also under python -O, when a comparator lies.
+
+They hold under -O because the package has no assert, __debug__ or sys.flags,
+which tests/test_package.py::test_source_holds_nothing_python_o_changes
+checks, so -O runs the same code; test_guards_survive_optimized_mode runs one
+guard live under -O."""
 
 import random
 import re

@@ -92,3 +92,41 @@ def test_readme_library_example_runs_and_states_its_values():
     compare = selfpower.compare_self_power_to_rational
     assert compare(lo, Fraction(2)) is selfpower.Ordering.LESS
     assert compare(hi, Fraction(2)) is selfpower.Ordering.GREATER
+
+
+def _sources_python_o_could_change(root: Path) -> list[str]:
+    """Each place in root's .py files where python -O could change what the
+    code does (an assert, a __debug__ name, a sys.flags read), and each line
+    naming set_int_max_str_digits, the process-wide int/str digit limit."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        for number, line in enumerate(text.splitlines(), 1):
+            if "set_int_max_str_digits" in line:
+                found.append(f"{path.name}:{number}: set_int_max_str_digits")
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Assert):
+                what = "assert"
+            elif isinstance(node, ast.Name) and node.id == "__debug__":
+                what = "__debug__"
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "flags"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                what = "sys.flags"
+            else:
+                continue
+            found.append(f"{path.name}:{node.lineno}: {what}")
+    return found
+
+
+def test_source_holds_nothing_python_o_changes():
+    # a check that guards an answer must be an explicit raise, since python -O
+    # strips asserts; with no assert, __debug__ or sys.flags in the package,
+    # -O runs the same code.  The package reads and writes long integers in
+    # pieces instead of setting the process-wide int/str digit limit
+    root = Path(__file__).resolve().parents[1] / "src"
+    assert sorted(root.rglob("*.py"))
+    assert _sources_python_o_could_change(root) == []
